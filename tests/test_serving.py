@@ -12,10 +12,18 @@ The properties the PR claims, executed:
   count — bounds the batch;
 * the serving JSONL is byte-identical at any ``--jobs`` width;
 * the KV-cache boundary: ``max_decode_context`` is the last legal
-  decode step, and cached generation reproduces the uncached tokens.
+  decode step, and cached generation reproduces the uncached tokens;
+* the simulated results are pinned: golden SHA-256 digests cover the
+  metrics and every request's lifecycle on the A15, benchmark and
+  length-cap traces, and a step-by-step reference loop (below) must
+  reproduce the simulator on random geometries, budgets and traces.
 """
 
+import dataclasses
+import hashlib
 import io
+import json
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +33,9 @@ from hypothesis import given, settings, strategies as st
 from repro import ht
 from repro.core.decode_study import DecodeStudyResult
 from repro.core.serving import (
+    DEFAULT_WORKLOAD,
     ServingPoint,
+    ServingResult,
     ServingSimulator,
     ServingWorkload,
     generate_requests,
@@ -33,6 +43,7 @@ from repro.core.serving import (
     run_serving,
     serving_weight_bytes,
 )
+from repro.core.serving import _bucket_batch
 from repro.models import (
     GPT2LMHeadModel,
     generate,
@@ -272,3 +283,203 @@ class TestServingValidation:
         trace = generate_requests(2, 10.0, workload=SMALL_WORKLOAD)
         with pytest.raises(Exception, match="unknown serving policy"):
             simulator.run(trace, "clairvoyant")
+
+
+# -- pinned simulated results -------------------------------------------------
+
+
+def _serving_digest(result) -> str:
+    """SHA-256 over a run's metrics and every request's lifecycle."""
+    rows = [
+        (r.rid, r.admitted_us, r.first_token_us, r.finish_us,
+         r.finish_reason, r.generated)
+        for r in result.records
+    ]
+    payload = json.dumps([result.metrics(), rows], sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _step_reference(sim, requests, policy) -> ServingResult:
+    """The serving loop one decode step at a time: the oracle the
+    simulator's segment advance must reproduce exactly."""
+    sim._reset_stats()
+    work = [dataclasses.replace(r) for r in requests]
+    queue, rejected, batch, t, bucket = deque(work), [], [], 0.0, 1
+    cap = max_decode_context(sim.config)
+    while queue or batch:
+        if not batch and queue[0].arrival_us > t:
+            t = queue[0].arrival_us
+        joiners = []
+        if policy == "continuous" or not batch:
+            joiners = sim._admit(queue, batch, t, rejected)
+        if joiners:
+            t = sim._prefill(joiners, t)
+            batch += [r for r in joiners if r.finish_us is None]
+            bucket = _bucket_batch(len(joiners))
+        if not batch:
+            continue
+        if policy == "continuous":
+            bucket = _bucket_batch(len(batch))
+        if policy == "continuous" or joiners:
+            sim._sample(batch)
+        ctx = sim._ctx_bucket(max(r.context_len for r in batch))
+        t += sim._decode_cost(bucket, ctx).time_us
+        sim.decode_steps += 1
+        sim.decode_slot_tokens += len(batch)
+        for r in batch:
+            r.generated += 1
+            if r.generated >= r.output_len:
+                r.finish_reason, r.finish_us = "completed", t
+            elif r.prompt_len + r.generated - 1 > cap:
+                r.finish_reason, r.finish_us = "length_cap", t
+            else:
+                r.context_len += 1
+        batch = [r for r in batch if r.finish_us is None]
+    return ServingResult(
+        policy, work, t, sim.prefill_steps, sim.decode_steps,
+        sim.decode_slot_tokens, sim.peak_in_flight,
+        sim.peak_kv_reserved_bytes, sim.peak_kv_actual_bytes,
+        sim.weight_bytes, sim.budget_bytes,
+    )
+
+
+def _kv_budget(model, tokens: int) -> int:
+    """An HBM budget: the weights plus ``tokens`` cached tokens of KV."""
+    return serving_weight_bytes(model) + kv_bytes_per_token(model) * tokens
+
+
+#: the A15 KV-pressure scenario's model (see run_serving_ablation)
+PRESSURE = scaled(paper_gpt_config(), vocab_size=512)
+#: the benchmark's serve-kvbound length mix
+KVBOUND_WORKLOAD = ServingWorkload(
+    prompt_range=(16, 1536), output_range=(8, 256)
+)
+#: prompts near SMALL's window: requests truncate at the cache boundary
+#: and decode runs in the last (cap) context bucket
+CAP_WORKLOAD = ServingWorkload(prompt_range=(150, 256), output_range=(8, 160))
+
+#: name -> (model, max_batch, ctx_quantum, HBM budget bytes or None for
+#: the device capacity, requests, rate, workload, policy)
+GOLDEN_SCENARIOS = {
+    **{
+        f"a15-{policy}-{rate:g}": (
+            paper_gpt_config(), 8, 128, None, 1500, rate,
+            DEFAULT_WORKLOAD, policy,
+        )
+        for rate in (10.0, 20.0, 40.0)
+        for policy in ("static", "continuous")
+    },
+    "a15-pressure": (
+        PRESSURE, 16, 128, _kv_budget(PRESSURE, 5 * PRESSURE.max_seq_len),
+        200, 10.0,
+        ServingWorkload(prompt_range=(256, 768), output_range=(256, 512)),
+        "continuous",
+    ),
+    "knee-continuous": (
+        paper_gpt_config(), 8, 128, None, 2000, 20.0, DEFAULT_WORKLOAD,
+        "continuous",
+    ),
+    "knee-static": (
+        paper_gpt_config(), 8, 128, None, 2000, 20.0, DEFAULT_WORKLOAD,
+        "static",
+    ),
+    "kvbound-continuous": (
+        paper_gpt_config(), 8, 128, 160 << 20, 2000, 40.0,
+        KVBOUND_WORKLOAD, "continuous",
+    ),
+    "cap-continuous": (
+        SMALL, 4, 64, None, 300, 20.0, CAP_WORKLOAD, "continuous",
+    ),
+    "cap-static": (SMALL, 4, 64, None, 300, 20.0, CAP_WORKLOAD, "static"),
+}
+
+GOLDEN_DIGESTS = {
+    "a15-continuous-10": "bfbe3506682d0148581abd6370cf048c677dd85045538bb8a4036557ff7cb938",
+    "a15-continuous-20": "352632cbdf933853e322a24ca70a52e18c59db5b0f3b2296b95135a49efe3fba",
+    "a15-continuous-40": "dd2dcdb2ef2b84c658830395034bc521fd579aa59ba695c3a65c4c3715549502",
+    "a15-pressure": "edea8b21ffdce38d52af9df1a5f8b18801c02ce59662b9bddc7460b671f8e99c",
+    "a15-static-10": "6d6612f6686befe7337990ff81c3fb4fe2e31e620b05e72ece9a4c925dd52494",
+    "a15-static-20": "f1b208d33a894742b1d628b7f8bdb53f741f641891588057a93f7776d038ecac",
+    "a15-static-40": "377c910db5aa9a1d9cb9942739d64577c0d4894d611371c0451ed057f38ce90a",
+    "cap-continuous": "61440a9f5bf112dda0463ba76b47a088d9ed35e540ecb8169cf73aa6169b96cf",
+    "cap-static": "449eeb9c9a888e4363b43b7ba70f5b6beeaf84dce2b83b3e61ec9be0efd6547c",
+    "knee-continuous": "e449275e5a0465569b06cabb24a1a972edb5f88db5137112f945ee1f811b74fb",
+    "knee-static": "a0f3b7d2eea36a16918dcfc1bfec369871a6b5413d2a16029b0096be4f9aba91",
+    "kvbound-continuous": "3c14331a2bbf7922e8c1c2273fdfb5c7e70e359c93bed23a7d7fda4bbd8da8e2",
+}
+
+
+@pytest.fixture(scope="module")
+def runtimes():
+    """One step-cost oracle per HBM budget, shared across scenarios."""
+    cache = {}
+
+    def get(budget_bytes):
+        if budget_bytes not in cache:
+            cache[budget_bytes] = ServingRuntime(hbm_budget=budget_bytes)
+        return cache[budget_bytes]
+
+    return get
+
+
+def _golden_run(runtimes, name, run=None):
+    model, max_batch, quantum, budget, num, rate, workload, policy = (
+        GOLDEN_SCENARIOS[name]
+    )
+    sim = ServingSimulator(
+        runtimes(budget), model_config=model,
+        max_batch=max_batch, ctx_quantum=quantum,
+    )
+    trace = generate_requests(num, rate, workload=workload, seed=0)
+    if run is not None:
+        return run(sim, trace, policy)
+    return sim.run(trace, policy)
+
+
+class TestServingGoldens:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    def test_golden_digest(self, runtimes, name):
+        result = _golden_run(runtimes, name)
+        assert _serving_digest(result) == GOLDEN_DIGESTS[name]
+
+    def test_cap_scenario_truncates(self, runtimes):
+        # the cap goldens only pin the boundary if requests reach it
+        for name in ("cap-continuous", "cap-static"):
+            m = _golden_run(runtimes, name).metrics()
+            assert m["truncated"] > 0 and m["completed"] > 0
+
+    @pytest.mark.parametrize("name", ["knee-static", "cap-continuous"])
+    def test_reference_matches_golden_scenario(self, runtimes, name):
+        fast = _golden_run(runtimes, name)
+        slow = _golden_run(runtimes, name, _step_reference)
+        assert _serving_digest(fast) == _serving_digest(slow)
+
+    @given(
+        max_batch=st.integers(1, 6),
+        quantum=st.sampled_from((32, 48, 64, 100)),
+        budget=st.sampled_from((None, 128, 320, 768)),
+        prompt_hi=st.sampled_from((48, 200, 256)),
+        seed=st.integers(0, 50),
+        rate=st.floats(5.0, 400.0),
+        num=st.integers(1, 40),
+        policy=st.sampled_from(("static", "continuous")),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_step_reference(self, runtimes, max_batch, quantum,
+                                    budget, prompt_hi, seed, rate, num,
+                                    policy):
+        # budget: cached tokens of KV the HBM holds beside the weights
+        sim = ServingSimulator(
+            runtimes(budget and _kv_budget(SMALL, budget)),
+            model_config=SMALL,
+            max_batch=max_batch, ctx_quantum=quantum,
+        )
+        trace = generate_requests(
+            num, rate, seed=seed,
+            workload=ServingWorkload(
+                prompt_range=(4, prompt_hi), output_range=(2, 120)
+            ),
+        )
+        fast = sim.run(trace, policy)
+        slow = _step_reference(sim, trace, policy)
+        assert _serving_digest(fast) == _serving_digest(slow)
