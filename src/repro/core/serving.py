@@ -503,8 +503,8 @@ class ServingSimulator:
             # the admitted batch runs to completion: finished requests
             # free no slot and nobody joins until the batch drains
             bucket = _bucket_batch(len(group))
-            self._sample(batch)
             while batch:
+                self._sample(batch)
                 t = self._decode(batch, t, bucket)
                 batch = [r for r in batch if r.finish_us is None]
         return t

@@ -320,8 +320,7 @@ def _step_reference(sim, requests, policy) -> ServingResult:
             continue
         if policy == "continuous":
             bucket = _bucket_batch(len(batch))
-        if policy == "continuous" or joiners:
-            sim._sample(batch)
+        sim._sample(batch)
         ctx = sim._ctx_bucket(max(r.context_len for r in batch))
         t += sim._decode_cost(bucket, ctx).time_us
         sim.decode_steps += 1
@@ -398,13 +397,13 @@ GOLDEN_DIGESTS = {
     "a15-continuous-20": "352632cbdf933853e322a24ca70a52e18c59db5b0f3b2296b95135a49efe3fba",
     "a15-continuous-40": "dd2dcdb2ef2b84c658830395034bc521fd579aa59ba695c3a65c4c3715549502",
     "a15-pressure": "edea8b21ffdce38d52af9df1a5f8b18801c02ce59662b9bddc7460b671f8e99c",
-    "a15-static-10": "6d6612f6686befe7337990ff81c3fb4fe2e31e620b05e72ece9a4c925dd52494",
-    "a15-static-20": "f1b208d33a894742b1d628b7f8bdb53f741f641891588057a93f7776d038ecac",
-    "a15-static-40": "377c910db5aa9a1d9cb9942739d64577c0d4894d611371c0451ed057f38ce90a",
+    "a15-static-10": "9ef9df109063580b5cd77aa5274c4a8dfda92b31781ae65faf63b29b6beb4152",
+    "a15-static-20": "7520b0736042aeb6dcda50d167b3d3f8bf7254b4427f28c682fa48c63160edea",
+    "a15-static-40": "bcb5500515c328530d3d5afc6348d1b9d899ba4a370578e51ac87f932ecd5a92",
     "cap-continuous": "61440a9f5bf112dda0463ba76b47a088d9ed35e540ecb8169cf73aa6169b96cf",
-    "cap-static": "449eeb9c9a888e4363b43b7ba70f5b6beeaf84dce2b83b3e61ec9be0efd6547c",
+    "cap-static": "fc72f366109af3a6061430d165efe1480779f3d717e0ad0637bb073548a6d420",
     "knee-continuous": "e449275e5a0465569b06cabb24a1a972edb5f88db5137112f945ee1f811b74fb",
-    "knee-static": "a0f3b7d2eea36a16918dcfc1bfec369871a6b5413d2a16029b0096be4f9aba91",
+    "knee-static": "46cca4777a87239de29a46c8c9a4199a4524761d3cdafcfcefc66e30a7f4498b",
     "kvbound-continuous": "3c14331a2bbf7922e8c1c2273fdfb5c7e70e359c93bed23a7d7fda4bbd8da8e2",
 }
 
