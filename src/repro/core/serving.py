@@ -13,12 +13,14 @@ earlier PRs measured one at a time:
   step for every request in the batch, until each request has its
   output or hits the cache-full boundary
   (:func:`~repro.models.kvcache.max_decode_context`) and finishes
-  truncated instead of crashing;
+  truncated instead of crashing. Between events (arrival, finish,
+  truncation, a context crossing its bucket) every step costs the same,
+  so the loop advances one constant-geometry *segment* per lookup;
 * **batching policy** — ``static`` admits a batch, runs it to
   completion, then admits the next (stragglers hold every slot);
-  ``continuous`` re-forms the batch between decode steps — finished
-  requests leave immediately and waiting requests join in-flight, the
-  ORCA/vLLM discipline;
+  ``continuous`` re-forms the batch at every event — finished requests
+  leave immediately and waiting requests join in-flight, the ORCA/vLLM
+  discipline;
 * **step costs** — every step geometry is quantized (batch to a power
   of two, context/prompt up to a quantum) and priced once through a
   :class:`~repro.synapse.serving.ServingRuntime`, so simulating 10^4 -
@@ -38,9 +40,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import tempfile
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -206,7 +210,7 @@ def _record_prefill(config: LLMConfig, batch: int, seq_len: int):
     model = GPT2LMHeadModel(config, materialize=False)
     with ht.record(f"prefill-b{batch}-s{seq_len}", mode="symbolic") as rec:
         model(ht.input_tensor((batch, seq_len), name="input_ids"))
-    return rec.graph
+    return rec
 
 
 class ServingSimulator:
@@ -243,6 +247,7 @@ class ServingSimulator:
         self.budget_bytes = runtime.hbm_budget
         self.weight_bytes = serving_weight_bytes(self.config)
         self.kv_per_token = kv_bytes_per_token(self.config)
+        self.max_context = max_decode_context(self.config)
         self._tag = _config_tag(self.config)
         # per-run trackers (reset by run())
         self._reset_stats()
@@ -259,9 +264,8 @@ class ServingSimulator:
 
     def _ctx_bucket(self, context_len: int) -> int:
         """Quantize a decode context up; never past the legal maximum."""
-        cap = max_decode_context(self.config)
         q = self.ctx_quantum
-        return min(-(-context_len // q) * q, cap)
+        return min(-(-context_len // q) * q, self.max_context)
 
     def _prompt_bucket(self, prompt_len: int) -> int:
         q = self.ctx_quantum
@@ -269,85 +273,63 @@ class ServingSimulator:
 
     def _reserved_ctx(self, req: Request) -> int:
         """Worst-case resident cache entries, quantized."""
-        final = min(
-            req.prompt_len + req.output_len, self.config.max_seq_len
-        )
-        q = self.ctx_quantum
-        return min(-(-final // q) * q, self.config.max_seq_len)
+        return self._prompt_bucket(req.prompt_len + req.output_len)
 
-    def _decode_cost(self, batch_bucket: int, ctx_bucket: int):
+    def _geometry(self, kind: str, batch: int, size: int):
+        """Step-cost key and graph factory of a ``"decode"`` (``size`` =
+        context bucket) or ``"prefill"`` (prompt bucket) step."""
         cfg = self.config
-        return self.runtime.step_cost(
-            (self._tag, "decode", batch_bucket, ctx_bucket),
-            lambda: record_decode_step(
-                cfg, batch=batch_bucket, context_len=ctx_bucket
-            ).graph,
-        )
+        if kind == "decode":
+            rec = partial(record_decode_step, cfg, batch=batch,
+                          context_len=size)
+        else:
+            rec = partial(_record_prefill, cfg, batch, size)
+        return (self._tag, kind, batch, size), lambda: rec().graph
 
-    def _decode_feasible(self, batch_bucket: int, ctx_bucket: int) -> bool:
-        cfg = self.config
-        return self.runtime.feasible(
-            (self._tag, "decode", batch_bucket, ctx_bucket),
-            lambda: record_decode_step(
-                cfg, batch=batch_bucket, context_len=ctx_bucket
-            ).graph,
-        )
+    def _cost(self, kind: str, batch: int, size: int):
+        return self.runtime.step_cost(*self._geometry(kind, batch, size))
 
-    def _prefill_cost(self, batch_bucket: int, seq_bucket: int):
-        cfg = self.config
-        return self.runtime.step_cost(
-            (self._tag, "prefill", batch_bucket, seq_bucket),
-            lambda: _record_prefill(cfg, batch_bucket, seq_bucket),
-        )
-
-    def _prefill_feasible(self, batch_bucket: int, seq_bucket: int) -> bool:
-        cfg = self.config
-        return self.runtime.feasible(
-            (self._tag, "prefill", batch_bucket, seq_bucket),
-            lambda: _record_prefill(cfg, batch_bucket, seq_bucket),
-        )
+    def _feasible(self, kind: str, batch: int, size: int) -> bool:
+        return self.runtime.feasible(*self._geometry(kind, batch, size))
 
     # -- admission ----------------------------------------------------------
 
-    def _viable(self, req: Request) -> bool:
+    def _viable(self, req: Request, reserved_ctx: int) -> bool:
         """Whether the request could ever be served alone."""
         if req.prompt_len > self.config.max_seq_len:
             return False
-        reserved = self.kv_per_token * self._reserved_ctx(req)
+        reserved = self.kv_per_token * reserved_ctx
         if self.weight_bytes + reserved > self.budget_bytes:
             return False
-        if not self._prefill_feasible(1, self._prompt_bucket(req.prompt_len)):
+        sb = self._prompt_bucket(req.prompt_len)
+        if not self._feasible("prefill", 1, sb):
             return False
         if req.output_len > 1 and req.prompt_len < self.config.max_seq_len:
-            ctx = min(self._reserved_ctx(req), max_decode_context(self.config))
-            if not self._decode_feasible(1, ctx):
-                return False
+            ctx = min(reserved_ctx, self.max_context)
+            return self._feasible("decode", 1, ctx)
         return True
 
     def _group_fits(
         self, members: list[Request], prefill_group: list[Request]
     ) -> bool:
         """Admission test: reservations + planner verdicts for the
-        would-be in-flight set."""
-        reserved = sum(r.reserved_kv_bytes or
-                       self.kv_per_token * self._reserved_ctx(r)
-                       for r in members)
+        would-be in-flight set — a function of its membership alone."""
+        reserved = sum(r.reserved_kv_bytes for r in members)
         if self.weight_bytes + reserved > self.budget_bytes:
             return False
         bb = _bucket_batch(len(members))
         worst_ctx = min(
-            max(self._reserved_ctx(r) for r in members),
-            max_decode_context(self.config),
+            max(r.reserved_kv_bytes for r in members) // self.kv_per_token,
+            self.max_context,
         )
-        if not self._decode_feasible(bb, worst_ctx):
+        if not self._feasible("decode", bb, worst_ctx):
             return False
         pb = _bucket_batch(len(prefill_group))
         sb = self._prompt_bucket(max(r.prompt_len for r in prefill_group))
-        return self._prefill_feasible(pb, sb)
+        return self._feasible("prefill", pb, sb)
 
     def _admit(
-        self, queue: "deque[Request]", in_flight: list[Request], t: float,
-        rejected: list[Request],
+        self, queue: "deque[Request]", in_flight: list[Request], t: float
     ) -> list[Request]:
         """Pop FCFS joiners that fit alongside ``in_flight`` at ``t``."""
         joiners: list[Request] = []
@@ -357,15 +339,13 @@ class ServingSimulator:
             and len(in_flight) + len(joiners) < self.max_batch
         ):
             cand = queue[0]
-            if not self._viable(cand):
+            reserved_ctx = self._reserved_ctx(cand)
+            if not self._viable(cand, reserved_ctx):
                 queue.popleft()
                 cand.finish_reason = "rejected"
                 cand.finish_us = t
-                rejected.append(cand)
                 continue
-            cand.reserved_kv_bytes = (
-                self.kv_per_token * self._reserved_ctx(cand)
-            )
+            cand.reserved_kv_bytes = self.kv_per_token * reserved_ctx
             if not self._group_fits(
                 in_flight + joiners + [cand], joiners + [cand]
             ):
@@ -380,9 +360,8 @@ class ServingSimulator:
         """Run one grouped prefill; returns the completion time."""
         pb = _bucket_batch(len(joiners))
         sb = self._prompt_bucket(max(r.prompt_len for r in joiners))
-        cost = self._prefill_cost(pb, sb)
+        end = t + self._cost("prefill", pb, sb).time_us
         self.prefill_steps += 1
-        end = t + cost.time_us
         for r in joiners:
             r.admitted_us = t
             r.first_token_us = end
@@ -391,7 +370,7 @@ class ServingSimulator:
             if r.generated >= r.output_len:
                 r.finish_reason = "completed"
                 r.finish_us = end
-            elif r.context_len > max_decode_context(self.config):
+            elif r.context_len > self.max_context:
                 # the prompt already fills the cache: no decode step is
                 # legal (see models.kvcache.decode_shapes), so the
                 # request finishes truncated at its prefill token
@@ -399,45 +378,63 @@ class ServingSimulator:
                 r.finish_us = end
         return end
 
-    def _decode(
-        self, batch: list[Request], t: float, batch_bucket: int
+    def _advance(
+        self, batch: list[Request], t: float, batch_bucket: int,
+        until: float,
     ) -> float:
-        """Run one decode step for ``batch``; returns the end time."""
+        """Decode ``batch`` through one constant-geometry segment.
+
+        One step-cost lookup prices every step up to the next event: a
+        member completing or reaching the cache boundary, the largest
+        context leaving its bucket, or the first step ending at or after
+        ``until``. Time advances one addition per step, so timestamps
+        match a step-by-step loop bit for bit. Returns the end time.
+        """
         ctx = max(r.context_len for r in batch)
+        ctx_bucket = self._ctx_bucket(ctx)
         try:
-            cost = self._decode_cost(batch_bucket, self._ctx_bucket(ctx))
+            dt = self._cost("decode", batch_bucket, ctx_bucket).time_us
         except Exception as err:  # admission guaranteed feasibility
             raise ExecutionError(
                 "decode step infeasible after admission — the admission "
-                "check reserves the worst-case geometry, so this "
-                "indicates a simulator bug"
+                "check reserves the worst-case geometry: a simulator bug"
             ) from err
-        self.decode_steps += 1
-        self.decode_slot_tokens += len(batch)
-        end = t + cost.time_us
-        cap = max_decode_context(self.config)
+        # the largest context leaves its bucket — or, in the last bucket,
+        # passes the cap and truncates — or the first member completes
+        steps = min(
+            ctx_bucket - ctx + 1,
+            min(r.output_len - r.generated for r in batch),
+        )
+        for n in range(1, steps + 1):
+            t += dt
+            if t >= until:
+                break
+        size = len(batch)
+        self.decode_steps += n
+        self.decode_slot_tokens += n * size
+        # residency only grows within a segment: its peak is the
+        # context before the last step
+        self.peak_in_flight = max(self.peak_in_flight, size)
+        self.peak_kv_reserved_bytes = max(
+            self.peak_kv_reserved_bytes,
+            sum(r.reserved_kv_bytes for r in batch),
+        )
+        actual = sum(r.context_len for r in batch) + (n - 1) * size
+        self.peak_kv_actual_bytes = max(
+            self.peak_kv_actual_bytes, self.kv_per_token * actual
+        )
         for r in batch:
-            r.generated += 1
-            cache_now = r.prompt_len + r.generated - 1
+            r.generated += n
             if r.generated >= r.output_len:
                 r.finish_reason = "completed"
-                r.finish_us = end
-            elif cache_now > cap:
+                r.finish_us = t
+            elif r.context_len + n > self.max_context:
                 # cache-full boundary: that was the last legal step
                 r.finish_reason = "length_cap"
-                r.finish_us = end
+                r.finish_us = t
             else:
-                r.context_len = cache_now
-        return end
-
-    def _sample(self, in_flight: list[Request]) -> None:
-        self.peak_in_flight = max(self.peak_in_flight, len(in_flight))
-        reserved = sum(r.reserved_kv_bytes for r in in_flight)
-        actual = sum(self.kv_per_token * r.context_len for r in in_flight)
-        self.peak_kv_reserved_bytes = max(
-            self.peak_kv_reserved_bytes, reserved
-        )
-        self.peak_kv_actual_bytes = max(self.peak_kv_actual_bytes, actual)
+                r.context_len += n
+        return t
 
     # -- policies -----------------------------------------------------------
 
@@ -450,12 +447,11 @@ class ServingSimulator:
             )
         self._reset_stats()
         work = [dataclasses.replace(r) for r in requests]
-        rejected: list[Request] = []
         queue = deque(work)
         if policy == "continuous":
-            makespan = self._run_continuous(queue, rejected)
+            makespan = self._run_continuous(queue)
         else:
-            makespan = self._run_static(queue, rejected)
+            makespan = self._run_static(queue)
         return ServingResult(
             policy=policy,
             records=work,
@@ -470,32 +466,39 @@ class ServingSimulator:
             budget_bytes=self.budget_bytes,
         )
 
-    def _run_continuous(
-        self, queue: "deque[Request]", rejected: list[Request]
-    ) -> float:
+    def _run_continuous(self, queue: "deque[Request]") -> float:
         batch: list[Request] = []
         t = 0.0
+        # an arrived head held back (no free slot, or _group_fits refused
+        # it) stays held until a member leaves: both verdicts depend only
+        # on the membership and the head
+        held = False
         while queue or batch:
-            if not batch and queue and queue[0].arrival_us > t:
+            if not batch and queue[0].arrival_us > t:
                 t = queue[0].arrival_us
-            joiners = self._admit(queue, batch, t, rejected)
-            if joiners:
-                t = self._prefill(joiners, t)
-                batch.extend(r for r in joiners if r.finish_us is None)
-            self._sample(batch)
-            if batch:
-                t = self._decode(batch, t, _bucket_batch(len(batch)))
-                batch = [r for r in batch if r.finish_us is None]
+            if not held:
+                joiners = self._admit(queue, batch, t)
+                if joiners:
+                    t = self._prefill(joiners, t)
+                    batch.extend(r for r in joiners if r.finish_us is None)
+                held = not joiners and bool(queue) and queue[0].arrival_us <= t
+            if not batch:
+                continue
+            size = len(batch)
+            until = math.inf
+            if queue and not held and size < self.max_batch:
+                until = queue[0].arrival_us
+            t = self._advance(batch, t, _bucket_batch(size), until)
+            batch = [r for r in batch if r.finish_us is None]
+            held = held and len(batch) == size
         return t
 
-    def _run_static(
-        self, queue: "deque[Request]", rejected: list[Request]
-    ) -> float:
+    def _run_static(self, queue: "deque[Request]") -> float:
         t = 0.0
         while queue:
             if queue[0].arrival_us > t:
                 t = queue[0].arrival_us
-            group = self._admit(queue, [], t, rejected)
+            group = self._admit(queue, [], t)
             if not group:
                 continue  # head was rejected; re-test the next head
             t = self._prefill(group, t)
@@ -504,8 +507,7 @@ class ServingSimulator:
             # free no slot and nobody joins until the batch drains
             bucket = _bucket_batch(len(group))
             while batch:
-                self._sample(batch)
-                t = self._decode(batch, t, bucket)
+                t = self._advance(batch, t, bucket, math.inf)
                 batch = [r for r in batch if r.finish_us is None]
         return t
 
@@ -540,16 +542,11 @@ class ServingResult:
         memoized step costs — deterministic at any pool width.
         """
         done = self.finished()
+        reasons = [r.finish_reason for r in self.records]
         counts = {
-            "completed": sum(
-                1 for r in self.records if r.finish_reason == "completed"
-            ),
-            "truncated": sum(
-                1 for r in self.records if r.finish_reason == "length_cap"
-            ),
-            "rejected": sum(
-                1 for r in self.records if r.finish_reason == "rejected"
-            ),
+            "completed": reasons.count("completed"),
+            "truncated": reasons.count("length_cap"),
+            "rejected": reasons.count("rejected"),
         }
         ttfts = np.array([r.ttft_us for r in done]) if done else np.array([0.0])
         tpots = [

@@ -304,14 +304,14 @@ def _step_reference(sim, requests, policy) -> ServingResult:
     simulator's segment advance must reproduce exactly."""
     sim._reset_stats()
     work = [dataclasses.replace(r) for r in requests]
-    queue, rejected, batch, t, bucket = deque(work), [], [], 0.0, 1
+    queue, batch, t, bucket = deque(work), [], 0.0, 1
     cap = max_decode_context(sim.config)
     while queue or batch:
         if not batch and queue[0].arrival_us > t:
             t = queue[0].arrival_us
         joiners = []
         if policy == "continuous" or not batch:
-            joiners = sim._admit(queue, batch, t, rejected)
+            joiners = sim._admit(queue, batch, t)
         if joiners:
             t = sim._prefill(joiners, t)
             batch += [r for r in joiners if r.finish_us is None]
@@ -320,9 +320,17 @@ def _step_reference(sim, requests, policy) -> ServingResult:
             continue
         if policy == "continuous":
             bucket = _bucket_batch(len(batch))
-        sim._sample(batch)
+        sim.peak_in_flight = max(sim.peak_in_flight, len(batch))
+        sim.peak_kv_reserved_bytes = max(
+            sim.peak_kv_reserved_bytes,
+            sum(r.reserved_kv_bytes for r in batch),
+        )
+        sim.peak_kv_actual_bytes = max(
+            sim.peak_kv_actual_bytes,
+            sim.kv_per_token * sum(r.context_len for r in batch),
+        )
         ctx = sim._ctx_bucket(max(r.context_len for r in batch))
-        t += sim._decode_cost(bucket, ctx).time_us
+        t += sim._cost("decode", bucket, ctx).time_us
         sim.decode_steps += 1
         sim.decode_slot_tokens += len(batch)
         for r in batch:
