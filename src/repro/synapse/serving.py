@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Callable, Hashable
 
 from ..hw.config import GaudiConfig
-from ..hw.device import GaudiDevice
 from ..util.errors import DeviceMemoryError
 from .compiler import CompilerOptions, GraphCompiler, default_compiler_options
 from .graph import Graph
@@ -87,7 +86,7 @@ class ServingRuntime:
         self.compiler = GraphCompiler(self.config, base, cache=self.recipes)
         #: geometry key -> StepCost, or the DeviceMemoryError to re-raise
         self._memo: dict[Hashable, StepCost | DeviceMemoryError] = {}
-        #: total step_cost calls (one per simulated step)
+        #: total step_cost calls: every oracle query, memo hit or not
         self.lookups = 0
         #: calls that had to record + compile + execute a new geometry
         self.measured = 0
@@ -98,8 +97,12 @@ class ServingRuntime:
 
     @property
     def hbm_budget(self) -> int:
-        """The effective budget: the option, else device capacity."""
-        return self.options.hbm_budget or self.config.hbm.capacity_bytes
+        """The effective budget: the option, else the backend's device
+        memory capacity."""
+        backend = self.compiler.backend
+        return self.options.hbm_budget or backend.memory_capacity_bytes(
+            self.compiler.config
+        )
 
     def step_cost(
         self, key: Hashable, graph_factory: Callable[[], Graph]
@@ -115,7 +118,9 @@ class ServingRuntime:
         hit = self._memo.get(key)
         if hit is not None:
             if isinstance(hit, DeviceMemoryError):
-                raise hit
+                # a fresh traceback: re-raising the memoized instance
+                # as-is would chain every raise's frames onto it
+                raise hit.with_traceback(None)
             return hit
         self.measured += 1
         try:
@@ -127,7 +132,8 @@ class ServingRuntime:
         cold = not self.compiler.last_cache_hit
         if cold:
             self.cold_compiles += 1
-        result = Runtime(GaudiDevice(self.config)).execute(
+        device = self.compiler.backend.make_device(self.compiler.config)
+        result = Runtime(device).execute(
             schedule,
             reorder=self.options.reorder,
             hbm_contention=self.options.hbm_contention,

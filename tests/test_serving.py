@@ -23,6 +23,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import traceback
 from collections import deque
 from types import SimpleNamespace
 
@@ -53,8 +54,10 @@ from repro.models import (
     scaled,
     tiny_gpt_config,
 )
+from repro.hw.backend import get_backend
+from repro.synapse import CompilerOptions
 from repro.synapse.serving import ServingRuntime
-from repro.util.errors import DataError, ShapeError
+from repro.util.errors import DataError, DeviceMemoryError, ShapeError
 
 SMALL = scaled(paper_gpt_config(), vocab_size=128, seq_len=256)
 SMALL_WORKLOAD = ServingWorkload(prompt_range=(4, 48), output_range=(2, 40))
@@ -257,6 +260,18 @@ class TestServingRuntime:
         assert len(calls) == 1
         assert runtime.lookups == 2 and runtime.measured == 1
         assert runtime.replay_fraction == pytest.approx(0.5)
+        # the serving loop queries the oracle once per constant-geometry
+        # segment, once per prefill and per admission probe — not once
+        # per decode step
+        sim = ServingSimulator(
+            runtime, model_config=SMALL, max_batch=4, ctx_quantum=64
+        )
+        before = runtime.lookups
+        result = sim.run(
+            generate_requests(40, 20.0, workload=SMALL_WORKLOAD),
+            "continuous",
+        )
+        assert runtime.lookups - before < result.decode_steps
 
     def test_infeasible_geometry_memoized(self):
         runtime = ServingRuntime(hbm_budget=1 << 20)  # 1 MiB: nothing fits
@@ -270,6 +285,41 @@ class TestServingRuntime:
         assert not runtime.feasible(("t", 2, 64), factory)
         assert len(calls) == 1
         assert runtime.infeasible == 1
+
+    def test_memoized_error_does_not_chain_tracebacks(self):
+        # re-raising one exception instance appends each raise's frames
+        # to its traceback; the memo must not grow (and pin frames) per
+        # query
+        runtime = ServingRuntime(hbm_budget=1 << 20)
+
+        def factory():
+            return record_decode_step(SMALL, batch=2, context_len=64).graph
+
+        depths = []
+        for _ in range(20):
+            with pytest.raises(DeviceMemoryError) as info:
+                runtime.step_cost(("t", 2, 64), factory)
+            depths.append(len(traceback.extract_tb(info.value.__traceback__)))
+        assert depths[-1] == depths[1]
+
+    def test_serves_on_the_compiler_backend(self):
+        runtime = ServingRuntime(options=CompilerOptions(backend="wse"))
+        backend = get_backend("wse")
+        assert runtime.hbm_budget == backend.memory_capacity_bytes(
+            backend.default_config()
+        )
+        sim = ServingSimulator(
+            runtime, model_config=SMALL, max_batch=4, ctx_quantum=64
+        )
+        trace = generate_requests(50, 20.0, workload=SMALL_WORKLOAD)
+        m = sim.run(trace, "continuous").metrics()
+        assert m["completed"] + m["truncated"] == 50
+        assert m["budget_bytes"] == runtime.hbm_budget
+        gaudi = ServingSimulator(
+            ServingRuntime(), model_config=SMALL, max_batch=4, ctx_quantum=64
+        ).run(trace, "continuous").metrics()
+        # the wafer prices the same steps differently
+        assert m["tpot_mean_ms"] != gaudi["tpot_mean_ms"]
 
 
 class TestServingValidation:
