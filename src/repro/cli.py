@@ -2,8 +2,10 @@
 
 Runs any single experiment from the paper (tables, figures, ablations,
 extensions) or the whole study, printing the same rendering the
-benchmark harness produces. Exit code is non-zero when a shape check
-misses — the CLI is usable as a CI gate for the reproduction.
+benchmark harness produces. Exit code is 1 when a shape check misses
+— the CLI is usable as a CI gate for the reproduction — and 2 when the
+run is refused with a typed :class:`~repro.util.errors.ReproError`
+(printed as a one-line ``error:`` message, not a traceback).
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .synapse import (
     set_default_compiler_options,
     set_default_recipe_cache_dir,
 )
+from .util.errors import ReproError
 
 
 def _simple(run: Callable[[], object]) -> tuple[str, list[ShapeCheck]]:
@@ -393,7 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ReproError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
+
+def _run(args: argparse.Namespace) -> int:
     options = default_compiler_options()
     if args.disable_pass:
         options = disable_passes(options, *args.disable_pass)

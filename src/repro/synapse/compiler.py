@@ -57,6 +57,7 @@ from dataclasses import dataclass
 
 from ..hw.backend import get_backend
 from ..hw.config import GaudiConfig
+from ..util.errors import GraphError
 from .graph import Graph
 from .passes import PASS_OPTION_FLAGS, PassManager, default_passes
 from .recipe import RecipeCache, recipe_key
@@ -247,8 +248,18 @@ class GraphCompiler:
         With ``use_recipe_cache`` (the default) an identical
         graph/config/options triple returns the cached schedule without
         re-running the pipeline; ``last_cache_hit`` records which case
-        this call was.
+        this call was. An ``ht`` recorder compiles its recorded graph;
+        anything else that is not a graph raises
+        :class:`~repro.util.errors.GraphError`.
         """
+        if not isinstance(graph, Graph):
+            recorded = getattr(graph, "graph", None)
+            if not isinstance(recorded, Graph):
+                raise GraphError(
+                    "GraphCompiler.compile expects a Graph or an ht "
+                    f"recorder, got {type(graph).__name__}"
+                )
+            graph = recorded
         self.last_cache_hit = False
         key = None
         if self.options.use_recipe_cache:

@@ -3,6 +3,18 @@
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.synapse import (
+    default_compiler_options,
+    set_default_compiler_options,
+)
+
+
+@pytest.fixture
+def restore_compiler_defaults():
+    """Global CLI flags (``--backend``) set process-wide defaults."""
+    saved = default_compiler_options()
+    yield
+    set_default_compiler_options(saved)
 
 
 class TestParser:
@@ -27,6 +39,18 @@ class TestParser:
 
 
 class TestMain:
+    def test_repro_error_is_one_line_exit_2(self, capsys):
+        assert main(["serve", "--max-batch", "0", "--requests", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: max_batch must be >= 1, got 0\n"
+
+    def test_serve_on_wse_backend(self, capsys, restore_compiler_defaults):
+        code = main(["--backend", "wse", "serve", "--requests", "50",
+                     "--rate", "10"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "50/0/0" in out
+
     def test_describe(self, capsys):
         assert main(["describe"]) == 0
         out = capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import ht
 from repro.hw.config import GaudiConfig, HBMConfig
 from repro.hw.costmodel import EngineKind
 from repro.hw.device import GaudiDevice
@@ -18,7 +19,7 @@ from repro.synapse import (
     validate_no_engine_overlap,
 )
 from repro.synapse.ops import op as op_def
-from repro.util.errors import CompileError, DeviceMemoryError
+from repro.util.errors import CompileError, DeviceMemoryError, GraphError
 from dataclasses import replace
 
 
@@ -176,6 +177,20 @@ class TestCompiler:
             small_hbm, CompilerOptions(enforce_memory=False)
         ).compile(g)
         assert schedule.memory.peak_bytes > 1 << 20
+
+    def test_compile_accepts_recorder(self):
+        with ht.record("attn", mode="symbolic") as rec:
+            q = ht.input_tensor((2, 64, 32), name="q")
+            ht.functional.softmax(q @ q.transpose(-1, -2))
+        from_recorder = GraphCompiler().compile(rec)
+        from_graph = GraphCompiler().compile(rec.graph)
+        assert [op.label for op in from_recorder.ops] == [
+            op.label for op in from_graph.ops
+        ]
+
+    def test_compile_rejects_non_graph(self):
+        with pytest.raises(GraphError, match="expects a Graph"):
+            GraphCompiler().compile("not a graph")
 
 
 class TestRuntime:
