@@ -57,7 +57,12 @@ from ..models.config import LLMConfig
 from ..models.kvcache import max_decode_context, record_decode_step
 from ..synapse import CompilerOptions, default_compiler_options
 from ..synapse.serving import ServingRuntime
-from ..util.errors import ConfigError, DataError, ExecutionError
+from ..util.errors import (
+    ConfigError,
+    DataError,
+    DeviceMemoryError,
+    ExecutionError,
+)
 from ..util.rng import make_rng
 from ..util.tabulate import render_table
 from .reference import ShapeCheck, threshold_check
@@ -278,12 +283,11 @@ class ServingSimulator:
     def _geometry(self, kind: str, batch: int, size: int):
         """Step-cost key and graph factory of a ``"decode"`` (``size`` =
         context bucket) or ``"prefill"`` (prompt bucket) step."""
-        cfg = self.config
         if kind == "decode":
-            rec = partial(record_decode_step, cfg, batch=batch,
+            rec = partial(record_decode_step, self.config, batch=batch,
                           context_len=size)
         else:
-            rec = partial(_record_prefill, cfg, batch, size)
+            rec = partial(_record_prefill, self.config, batch, size)
         return (self._tag, kind, batch, size), lambda: rec().graph
 
     def _cost(self, kind: str, batch: int, size: int):
@@ -394,17 +398,15 @@ class ServingSimulator:
         ctx_bucket = self._ctx_bucket(ctx)
         try:
             dt = self._cost("decode", batch_bucket, ctx_bucket).time_us
-        except Exception as err:  # admission guaranteed feasibility
+        except DeviceMemoryError as err:  # admission guaranteed it fits
             raise ExecutionError(
                 "decode step infeasible after admission — the admission "
                 "check reserves the worst-case geometry: a simulator bug"
             ) from err
         # the largest context leaves its bucket — or, in the last bucket,
         # passes the cap and truncates — or the first member completes
-        steps = min(
-            ctx_bucket - ctx + 1,
-            min(r.output_len - r.generated for r in batch),
-        )
+        to_complete = min(r.output_len - r.generated for r in batch)
+        steps = min(ctx_bucket - ctx + 1, to_complete)
         for n in range(1, steps + 1):
             t += dt
             if t >= until:
