@@ -1,10 +1,13 @@
 """HLS1Runtime: byte-identity, analytic cross-checks, A4/A12 studies."""
 
 import dataclasses
+import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import ht
+from repro.core.e2e_llm import record_training_step
 from repro.ht import functional as F
 from repro.hw.config import HLS1Config
 from repro.hw.costmodel import EngineKind
@@ -15,13 +18,15 @@ from repro.core.scaling_study import (
     run_scaling_study,
 )
 from repro.synapse import (
+    CompilerOptions,
     GraphCompiler,
     HLS1Runtime,
     Runtime,
     default_compiler_options,
     validate_no_engine_overlap,
 )
-from repro.synapse.runtime import collective_plans
+from repro.synapse.recipe import RecipeCache
+from repro.synapse.runtime import collective_plans, op_duration_us
 
 
 def record_tiny_step(d: int = 16, layers: int = 2, batch: int = 4):
@@ -184,3 +189,231 @@ class TestScalingStudy:
         )
         failed = [str(c) for c in result.checks() if not c.passed]
         assert not failed, failed
+
+
+# -- pinned multi-card traces -------------------------------------------------
+
+
+def _trace_rows(events):
+    return [
+        (ev.name, ev.engine.value, ev.card, ev.start_us, ev.dur_us,
+         ev.flops, ev.hbm_bytes, ev.contention_stall_us)
+        for ev in events
+    ]
+
+
+def _card_intervals(system):
+    return [
+        (c, engine.value, [(iv.start, iv.end, iv.label) for iv in tl.intervals])
+        for c, card in enumerate(system.cards)
+        for engine, tl in card.timelines.items()
+    ]
+
+
+def _trace_digest(result, system) -> str:
+    """SHA-256 over every event in list order, each card's per-engine
+    timeline intervals and the makespan."""
+    payload = repr((
+        _trace_rows(result.timeline.events),
+        _card_intervals(system),
+        result.total_time_us,
+    ))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+GOLDEN_SCHEDULES = {
+    "gpt-ddp": {},
+    "gpt-tp2": {"tp": 2},
+    "gpt-pp2": {"pp": 2, "microbatches": 4},
+}
+GOLDEN_SYSTEMS = {
+    "8card": {"num_cards": 8},
+    "4x8card": {"num_cards": 8, "boxes": 4},
+}
+GOLDEN_POLICIES = {
+    "inorder": {"scheduler": "inorder"},
+    "lookahead": {"scheduler": "lookahead"},
+    "uncontended": {"scheduler": "inorder", "hbm_contention": False},
+}
+
+GOLDEN_DIGESTS = {
+    "gpt-ddp/8card/inorder": (
+        "b99d51b26d201c9166b7003e827bf2c1378aa9ac85b9591cea29483f3e0feb46"
+    ),
+    "gpt-ddp/8card/lookahead": (
+        "ee810e757584af27ff4d4c5ea332180a111c6ef732a8fc0c3c8b450051b71b6e"
+    ),
+    "gpt-ddp/8card/uncontended": (
+        "b76e5c1f7c4293b98d748d352545e6b2bebb7bba243377590dbe509b217cc972"
+    ),
+    "gpt-ddp/4x8card/inorder": (
+        "ab93e4b2e1102d08634a330ae9c1e5fcec3b9908a730f5e43578de73e4e1c4af"
+    ),
+    "gpt-ddp/4x8card/lookahead": (
+        "11d7e99894d6fdde44cc36648abecfaa85f8e507e06402311f2b898360d9aafa"
+    ),
+    "gpt-ddp/4x8card/uncontended": (
+        "aa0c8909fedebc36a6fd14cc6c609ec9c277027b28c24038a45d0bd3383160bc"
+    ),
+    "gpt-tp2/8card/inorder": (
+        "46edd97e76b3e4482b0b50a7fd8ccf98a4880bc030b3feff2b9f857e7260d038"
+    ),
+    "gpt-tp2/8card/lookahead": (
+        "cc15f825657552aa03a96c56b1538ade7ecc4842502884d41f168fe21f5143da"
+    ),
+    "gpt-tp2/8card/uncontended": (
+        "de6598ace84c306625e378c4632cbd5c67c5ba00fcf9c3fbb9780f143e2fb04b"
+    ),
+    "gpt-tp2/4x8card/inorder": (
+        "1f48bbb3ff317babafe6513103ad685ed34304a02d7ed4ac122b38a9a3dd566b"
+    ),
+    "gpt-tp2/4x8card/lookahead": (
+        "aeacb180f1fd61efc495c27527182e51f8d93cb19cd36012432cd45419c40eaa"
+    ),
+    "gpt-tp2/4x8card/uncontended": (
+        "e0ba130327c565aa61760e657e5b2509b176d13090c136c2024f6328b71b14f1"
+    ),
+    "gpt-pp2/8card/inorder": (
+        "08b719ffdf28563aa93e5fc0506eec177d2575f80cfd31c55da3c2890a8a7067"
+    ),
+    "gpt-pp2/8card/lookahead": (
+        "b64af4ccdbdc5ba3144628601395934d7bce16622411d2c32abbde6adf61a381"
+    ),
+    "gpt-pp2/8card/uncontended": (
+        "bedc2a22b4e3dbcade84057159665c4e5bd2ee715186b6e19c721c1e7bed3eae"
+    ),
+    "gpt-pp2/4x8card/inorder": (
+        "a23300ffd9cccf366cf8d9aadaf9ac62bd6d6e260057eecf1d9e9ced58eec5e7"
+    ),
+    "gpt-pp2/4x8card/lookahead": (
+        "f100d478773ea6c65e5f29c706023b9f1c90cc0001dfb80a8c9b84590723ddf3"
+    ),
+    "gpt-pp2/4x8card/uncontended": (
+        "08628d5e529156b9a131e76f12a8c9de38d139a7154570fcf6ee4b321ba9deda"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def gpt_schedules():
+    """The paper GPT training step compiled DDP, tp=2 and pp=2."""
+    graph = record_training_step("gpt").graph
+    return {
+        name: GraphCompiler(
+            HLS1Config().card,
+            CompilerOptions(inject_collectives=True, **kw),
+            cache=RecipeCache(),
+        ).compile(graph)
+        for name, kw in GOLDEN_SCHEDULES.items()
+    }
+
+
+class TestMultiCardGoldens:
+    @pytest.mark.parametrize("key", sorted(GOLDEN_DIGESTS))
+    def test_golden_digest(self, gpt_schedules, key):
+        sched, system_name, policy = key.split("/")
+        system = HLS1Device(HLS1Config(**GOLDEN_SYSTEMS[system_name]))
+        result = HLS1Runtime(system).execute(
+            gpt_schedules[sched], **GOLDEN_POLICIES[policy]
+        )
+        assert _trace_digest(result, system) == GOLDEN_DIGESTS[key]
+
+    def test_goldens_cover_the_grid(self):
+        assert set(GOLDEN_DIGESTS) == {
+            f"{s}/{y}/{p}"
+            for s in GOLDEN_SCHEDULES
+            for y in GOLDEN_SYSTEMS
+            for p in GOLDEN_POLICIES
+        }
+
+
+# -- uncontended execution against a per-card replay --------------------------
+
+
+def _reference_uncontended(system, schedule, scheduler):
+    """Every card replays the schedule on its own timelines, card after
+    card: the oracle the runtime's uncontended execute must match."""
+    cards = system.cards
+    t0 = max(card.now for card in cards)
+    plans = collective_plans(
+        schedule, system.num_cards, system.interconnect, boxes=system.boxes
+    )
+    durations = [
+        plans[op.index].analytic_time_us
+        if op.index in plans and plans[op.index].steps
+        else op_duration_us(cards[0].cost_model, op)
+        for op in schedule.ops
+    ]
+    order = Runtime(cards[0])._plan_order(
+        schedule, durations, t0, reorder=False, scheduler=scheduler
+    )
+    rows = []
+    for c, card in enumerate(cards):
+        finish = {}
+        for idx in order:
+            op = schedule.ops[idx]
+            ready = max((finish[d] for d in op.deps), default=t0)
+            iv = card.timeline(op.engine).reserve(
+                ready, durations[idx], op.label
+            )
+            finish[idx] = iv.end
+            rows.append((
+                op.label, op.engine.value, c, iv.start, durations[idx],
+                op.flops, 0.0, 0.0,
+            ))
+    return rows, max(card.now for card in cards) - t0
+
+
+class TestUncontendedReference:
+    @given(
+        layers=st.integers(1, 3),
+        cards=st.sampled_from((4, 8)),
+        boxes=st.sampled_from((1, 2)),
+        tp=st.sampled_from((1, 2)),
+        bucket_mb=st.sampled_from((0.001, 25.0)),
+        scheduler=st.sampled_from(("inorder", "reorder", "lookahead")),
+        history=st.sampled_from(("fresh", "twice", "card3")),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_card_replay(self, layers, cards, boxes, tp,
+                                     bucket_mb, scheduler, history):
+        schedule = compile_step(
+            record_tiny_step(layers=layers), tp=tp, bucket_mb=bucket_mb
+        )
+        config = HLS1Config(num_cards=cards, boxes=boxes)
+        system, oracle = HLS1Device(config), HLS1Device(config)
+        if history == "card3":
+            # card 3 runs a schedule alone first, so the cards start
+            # the multi-card execute with different histories
+            warm = compile_step(record_tiny_step(layers=1, batch=2))
+            for twin in (system, oracle):
+                Runtime(twin.cards[3]).execute(warm)
+        runs = 2 if history == "twice" else 1
+        for _ in range(runs):
+            result = HLS1Runtime(system).execute(
+                schedule, hbm_contention=False, scheduler=scheduler
+            )
+            rows, total = _reference_uncontended(oracle, schedule, scheduler)
+            assert _trace_rows(result.timeline.events) == rows
+            assert result.total_time_us == total
+            assert _card_intervals(system) == _card_intervals(oracle)
+
+
+class TestPipelinedExecute:
+    def test_times_fresh_stage_slices(self, gpt_schedules):
+        system = HLS1Device(HLS1Config(num_cards=8))
+        runtime = HLS1Runtime(system)
+        runtime.execute(gpt_schedules["gpt-ddp"])
+        clocks = _card_intervals(system)
+        now = system.now
+        first = runtime.execute(gpt_schedules["gpt-pp2"])
+        second = runtime.execute(gpt_schedules["gpt-pp2"])
+        # the system's card clocks stay where the DDP step left them
+        assert system.now == now
+        assert _card_intervals(system) == clocks
+        for result in (first, second):
+            assert result.issue_order == []
+            assert result.start_offset_us == 0.0
+            assert min(ev.start_us for ev in result.timeline.events) == 0.0
+            assert result.timeline.cards() == list(range(8))
+        assert _trace_digest(first, system) == _trace_digest(second, system)
