@@ -288,25 +288,27 @@ def _workload_graph(point: SweepPoint):
 
 
 def _hls1_metrics(
-    schedule, hls1: HLS1Config, cards: int, boxes: int = 1,
-    backend: str = "gaudi",
+    schedule, hls1: HLS1Config, options: CompilerOptions, cards: int,
+    boxes: int = 1,
 ) -> dict:
     """Execute one schedule on ``boxes`` boxes of ``cards`` cards.
 
-    A non-Gaudi ``backend`` has no multi-card system model: its points
+    The runtime-only options (``reorder``, ``scheduler``,
+    ``hbm_contention``) apply exactly as in a profiler run. A
+    non-Gaudi backend has no multi-card system model: its points
     (already validated to ``cards == boxes == 1``) execute on that
     backend's single device instead of the HLS-1 population.
     """
-    if backend != "gaudi":
+    if options.backend != "gaudi":
         from ..hw.backend import get_backend
 
-        b = get_backend(backend)
-        res = Runtime(b.make_device(b.default_config())).execute(schedule)
+        b = get_backend(options.backend)
+        runtime = Runtime(b.make_device(b.default_config()))
     else:
-        system = HLS1Device(
+        runtime = HLS1Runtime(HLS1Device(
             dataclasses.replace(hls1, num_cards=cards, boxes=boxes)
-        )
-        res = HLS1Runtime(system).execute(schedule)
+        ))
+    res = runtime.execute(schedule, **options.runtime_kwargs())
     metrics = {
         "total_time_us": res.total_time_us,
         "exposed_comm_us": res.exposed_comm_us,
@@ -345,8 +347,7 @@ def _sweep_worker(payload) -> dict:
         if compiler.last_cache_hit:
             source = "disk" if cache.disk_hits else "memory"
     metrics = _hls1_metrics(
-        schedule, hls1, point.cards, point.boxes,
-        backend=getattr(options, "backend", "gaudi"),
+        schedule, hls1, options, point.cards, point.boxes
     )
     metrics["compile"] = source
     return metrics
@@ -469,8 +470,7 @@ def run_sweep(
                     "disk" if cache.disk_hits > disk_before else "memory"
                 )
             metrics = _hls1_metrics(
-                schedule, hls1, point.cards, point.boxes,
-                backend=getattr(opts, "backend", "gaudi"),
+                schedule, hls1, opts, point.cards, point.boxes
             )
             metrics["compile"] = source
             pr = PointResult(point=point, metrics=metrics)

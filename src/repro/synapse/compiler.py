@@ -183,6 +183,19 @@ class CompilerOptions:
     #: any compile-time option (``--backend``)
     backend: str = "gaudi"
 
+    def runtime_kwargs(self) -> dict:
+        """The runtime-only options as :meth:`Runtime.execute` keywords.
+
+        ``scheduler`` applies only when ``reorder`` is on; otherwise
+        the runtime keeps its in-order default.
+        """
+        return dict(
+            reorder=self.reorder,
+            hbm_contention=self.hbm_contention,
+            scheduler=self.scheduler if self.reorder else None,
+            engine=self.sim_engine,
+        )
+
 
 def disable_passes(
     options: CompilerOptions, *names: str

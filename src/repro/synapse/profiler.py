@@ -208,11 +208,6 @@ class SynapseProfiler:
         """Compile only (exposed for schedule inspection in tests)."""
         return self.compiler.compile(graph)
 
-    def _scheduler(self) -> str | None:
-        """Issue policy for the runtime: the configured out-of-order
-        scheduler when ``reorder`` is on, else the legacy default."""
-        return self.options.scheduler if self.options.reorder else None
-
     def profile(
         self, graph: Graph, *, device: GaudiDevice | None = None
     ) -> ProfileResult:
@@ -220,13 +215,7 @@ class SynapseProfiler:
         schedule = self.compiler.compile(graph)
         device = device or self.backend.make_device(self.config)
         runtime = Runtime(device)
-        result = runtime.execute(
-            schedule,
-            reorder=self.options.reorder,
-            hbm_contention=self.options.hbm_contention,
-            scheduler=self._scheduler(),
-            engine=self.options.sim_engine,
-        )
+        result = runtime.execute(schedule, **self.options.runtime_kwargs())
         timeline = result.timeline.shifted(-result.start_offset_us)
         return ProfileResult(
             graph_name=graph.name,
@@ -287,11 +276,7 @@ class SynapseProfiler:
             else:
                 compile_event = None
             result = runtime.execute(
-                schedule,
-                reorder=self.options.reorder,
-                hbm_contention=self.options.hbm_contention,
-                scheduler=self._scheduler(),
-                engine=self.options.sim_engine,
+                schedule, **self.options.runtime_kwargs()
             )
             start = (
                 compile_event.start_us if compile_event is not None
@@ -353,15 +338,7 @@ class HLS1Profiler:
         schedule = self.compiler.compile(graph)
         system = system or HLS1Device(self.config)
         runtime = HLS1Runtime(system)
-        result = runtime.execute(
-            schedule,
-            reorder=self.options.reorder,
-            hbm_contention=self.options.hbm_contention,
-            scheduler=(
-                self.options.scheduler if self.options.reorder else None
-            ),
-            engine=self.options.sim_engine,
-        )
+        result = runtime.execute(schedule, **self.options.runtime_kwargs())
         timeline = result.timeline.shifted(-result.start_offset_us)
         return ProfileResult(
             graph_name=graph.name,

@@ -1172,6 +1172,111 @@ def _fluid_execute_vector(
     return events, stall_total
 
 
+def _replay_symmetric(
+    cards: list[GaudiDevice],
+    schedule: Schedule,
+    order: list[int],
+    durations: list[float],
+    t0: float,
+) -> list[TraceEvent]:
+    """Uncontended closed-form replay on every card, card-major.
+
+    Collectives take their analytic duration, so the cards never
+    interact: every card runs the same deterministic replay, and ``t0 =
+    max(card.now)`` guarantees no twin reservation would clamp. Card 0
+    replays; each twin gets a copy of card 0's events with only
+    ``card`` changed, and card 0's new intervals mirrored onto its
+    timelines — the same events and intervals a replay per card builds.
+    """
+    rep = cards[0]
+    marks = {engine: tl.interval_count for engine, tl in rep.timelines.items()}
+    events = Runtime(rep)._replay(schedule, order, durations, t0)
+    if len(cards) == 1:
+        return events
+    new_event = TraceEvent.__new__
+    append = events.append
+    protos = [dict(ev.__dict__) for ev in events]
+    for c in range(1, len(cards)):
+        for proto in protos:
+            proto["card"] = c
+            ev = new_event(TraceEvent)
+            ev.__dict__.update(proto)
+            append(ev)
+    for engine, tl in rep.timelines.items():
+        added = tl.intervals_since(marks[engine])
+        if added:
+            for card in cards[1:]:
+                card.timelines[engine].mirror_many(added)
+    return events
+
+
+def _stage_schedule(
+    schedule: Schedule,
+    stage_of: list[int],
+    stage: int,
+    *,
+    drop_tail: bool = False,
+) -> Schedule:
+    """The reindexed sub-schedule of ``stage``'s ops.
+
+    Cross-stage deps vanish (the fill/drain composition accounts for
+    inter-stage waiting); with ``drop_tail`` the stage's DDP gradient
+    collectives and their downstream closure (the optimizer slice) are
+    removed too — that variant times one steady-state microbatch.
+    """
+    keep = [op for i, op in enumerate(schedule.ops) if stage_of[i] == stage]
+    if drop_tail:
+        consumers: dict[int, list[int]] = {}
+        for op in keep:
+            for dep in op.deps:
+                consumers.setdefault(dep, []).append(op.index)
+        tail: set[int] = set()
+        frontier = [
+            op.index for op in keep
+            if op.engine is EngineKind.NIC and op.scope == "ddp"
+        ]
+        while frontier:
+            idx = frontier.pop()
+            if idx in tail:
+                continue
+            tail.add(idx)
+            frontier.extend(consumers.get(idx, ()))
+        keep = [op for op in keep if op.index not in tail]
+    remap = {op.index: i for i, op in enumerate(keep)}
+    ops = []
+    for op in keep:
+        clone = op.clone()
+        clone.index = remap[op.index]
+        clone.deps = sorted(remap[d] for d in op.deps if d in remap)
+        ops.append(clone)
+    stats = {k: v for k, v in schedule.stats.items() if k != "pipeline"}
+    return Schedule(
+        graph=schedule.graph, ops=ops, memory=schedule.memory, stats=stats,
+    )
+
+
+def _stage_schedules(
+    schedule: Schedule, pp: int, stage_of: list[int]
+) -> list[tuple[Schedule, Schedule]]:
+    """The (cached) ``(full, tail-free)`` sub-schedules of every stage.
+
+    Cached on the schedule beside its ``_runtime_prep``: compiled
+    schedules are immutable, so the slices are too, and reusing the
+    same slice objects lets every execute hit their own prep caches.
+    """
+    stages = schedule.__dict__.get("_stage_schedules")
+    if stages is None:
+        stages = [
+            (
+                _stage_schedule(schedule, stage_of, stage),
+                _stage_schedule(schedule, stage_of, stage, drop_tail=True),
+            )
+            for stage in range(pp)
+        ]
+        schedule.__dict__["_stage_schedules"] = stages
+    return stages
+
+
 #: NIC op kinds the runtime prices through fabric plans
 _COLLECTIVE_SRCS = (
     "all_reduce", "all_gather", "broadcast", "reduce_scatter",
@@ -1263,7 +1368,15 @@ class HLS1Runtime:
         """Run ``schedule`` on all cards; clocks keep advancing.
 
         ``scheduler`` and ``engine`` resolve exactly as in
-        :meth:`Runtime.execute`.
+        :meth:`Runtime.execute`. Cards are symmetric, so the vector
+        fluid loop and the uncontended replay simulate one
+        representative card and mirror its events and timeline
+        intervals onto the others.
+
+        A pipelined schedule (``stats["pipeline"]`` with ``pp > 1``)
+        instead times fresh per-stage device slices from t=0: the
+        system's card clocks stay where they were, the result's
+        ``start_offset_us`` is 0.0 and its ``issue_order`` is empty.
         """
         pinfo = schedule.stats.get("pipeline")
         if pinfo and int(pinfo.get("pp", 1) or 1) > 1:
@@ -1325,19 +1438,8 @@ class HLS1Runtime:
                     if seg.total_rate > 0
                 )
         else:
-            # Uncontended reference: per-card closed-form replay with
-            # collectives at their analytic duration. Cards are
-            # symmetric (same schedule, same config), so independent
-            # replays produce the synchronized timing directly.
-            events = []
+            events = _replay_symmetric(cards, schedule, order, durations, t0)
             stall_total = 0.0
-            for c, card in enumerate(cards):
-                replayed = Runtime(card)._replay(
-                    schedule, order, durations, t0
-                )
-                events.extend(
-                    dataclasses.replace(ev, card=c) for ev in replayed
-                )
         timeline = Timeline(events, name=schedule.graph.name, validate=False)
         # card clocks advance exactly to the last event end (see
         # Runtime.execute); with no events they sit at t0
@@ -1353,59 +1455,6 @@ class HLS1Runtime:
             num_cards=self.system.num_cards,
             exposed_comm_us=timeline.exposed_comm_us(card=0),
             fabric_busy_us=fabric_busy,
-        )
-
-    def _stage_schedule(
-        self,
-        schedule: Schedule,
-        stage_of: list[int],
-        stage: int,
-        *,
-        drop_tail: bool = False,
-    ) -> Schedule:
-        """The reindexed sub-schedule of ``stage``'s ops.
-
-        Cross-stage deps vanish (the fill/drain composition accounts
-        for inter-stage waiting); with ``drop_tail`` the stage's DDP
-        gradient collectives and their downstream closure (the
-        optimizer slice) are removed too — that variant times one
-        steady-state microbatch.
-        """
-        keep = [
-            op for i, op in enumerate(schedule.ops) if stage_of[i] == stage
-        ]
-        if drop_tail:
-            consumers: dict[int, list[int]] = {}
-            for op in keep:
-                for dep in op.deps:
-                    consumers.setdefault(dep, []).append(op.index)
-            tail: set[int] = set()
-            frontier = [
-                op.index for op in keep
-                if op.engine is EngineKind.NIC and op.scope == "ddp"
-            ]
-            while frontier:
-                idx = frontier.pop()
-                if idx in tail:
-                    continue
-                tail.add(idx)
-                frontier.extend(consumers.get(idx, ()))
-            keep = [op for op in keep if op.index not in tail]
-        remap = {op.index: i for i, op in enumerate(keep)}
-        ops = []
-        for op in keep:
-            clone = op.clone()
-            clone.index = remap[op.index]
-            clone.deps = sorted(
-                remap[d] for d in op.deps if d in remap
-            )
-            ops.append(clone)
-        stats = {
-            k: v for k, v in schedule.stats.items() if k != "pipeline"
-        }
-        return Schedule(
-            graph=schedule.graph, ops=ops, memory=schedule.memory,
-            stats=stats,
         )
 
     def _execute_pipelined(
@@ -1468,11 +1517,9 @@ class HLS1Runtime:
             reorder=reorder, hbm_contention=hbm_contention,
             scheduler=scheduler, engine=engine,
         )
-        for stage in range(pp):
-            full = self._stage_schedule(schedule, stage_of, stage)
-            body = self._stage_schedule(
-                schedule, stage_of, stage, drop_tail=True
-            )
+        new_event = TraceEvent.__new__
+        stages = _stage_schedules(schedule, pp, stage_of)
+        for stage, (full, body) in enumerate(stages):
             # each run starts a fresh device slice at t=0, so the full
             # stage time minus the tail-free time isolates the tail
             t_mb = 0.0
@@ -1489,12 +1536,11 @@ class HLS1Runtime:
                 stall_total += result.contention_stall_us
                 fabric_busy += result.fabric_busy_us
                 exposed = max(exposed, result.exposed_comm_us)
+                offset = stage * stage_cards
                 for ev in result.timeline.events:
-                    events.append(
-                        dataclasses.replace(
-                            ev, card=ev.card + stage * stage_cards
-                        )
-                    )
+                    moved = new_event(TraceEvent)
+                    moved.__dict__.update(ev.__dict__, card=ev.card + offset)
+                    events.append(moved)
             mb_times.append(t_mb)
             tail_times.append(max(0.0, t_full - t_mb))
         slot = max(mb_times) if mb_times else 0.0

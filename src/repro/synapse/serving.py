@@ -134,13 +134,7 @@ class ServingRuntime:
             self.cold_compiles += 1
         device = self.compiler.backend.make_device(self.compiler.config)
         result = Runtime(device).execute(
-            schedule,
-            reorder=self.options.reorder,
-            hbm_contention=self.options.hbm_contention,
-            scheduler=(
-                self.options.scheduler if self.options.reorder else None
-            ),
-            engine=self.options.sim_engine,
+            schedule, **self.options.runtime_kwargs()
         )
         cost = StepCost(
             key=key,

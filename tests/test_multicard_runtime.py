@@ -204,7 +204,8 @@ def _trace_rows(events):
 
 def _card_intervals(system):
     return [
-        (c, engine.value, [(iv.start, iv.end, iv.label) for iv in tl.intervals])
+        (c, engine.value,
+         [(iv.start, iv.end, iv.label) for iv in tl.intervals])
         for c, card in enumerate(system.cards)
         for engine, tl in card.timelines.items()
     ]

@@ -77,6 +77,29 @@ class TestRecipeKey:
                                   CompilerOptions(use_recipe_cache=False))
 
 
+class TestScheduleClone:
+    LISTS = ("items", "deps", "reads", "writes", "node_ids")
+
+    def test_clone_equals_original(self):
+        schedule = GraphCompiler().compile(record_program().graph)
+        clone = schedule.clone()
+        assert clone.ops == schedule.ops
+        for op, copy in zip(schedule.ops, clone.ops):
+            assert type(copy) is type(op)
+            for name in self.LISTS:
+                assert getattr(copy, name) is not getattr(op, name)
+
+    def test_mutating_a_clone_leaves_the_original(self):
+        schedule = GraphCompiler().compile(record_program().graph)
+        op = schedule.ops[-1]
+        for name in self.LISTS:
+            before = list(getattr(op, name))
+            copy = op.clone()
+            getattr(copy, name).append(None)
+            assert getattr(op, name) == before
+            assert copy != op
+
+
 class TestCompilerCaching:
     def test_recompile_same_graph_hits(self):
         compiler = GraphCompiler()

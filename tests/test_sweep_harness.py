@@ -7,8 +7,10 @@ streaming in spec order, and rows that are byte-identical at any
 ``jobs`` width.
 """
 
+import dataclasses
 import json
 
+from repro.core.e2e_llm import record_training_step
 from repro.core.sweep import (
     SWEEP_POLICIES,
     SweepPoint,
@@ -17,6 +19,8 @@ from repro.core.sweep import (
     sweep_spec_from_cli,
 )
 from repro.hw.config import HLS1Config
+from repro.hw.device import HLS1Device
+from repro.synapse import GraphCompiler, HLS1Runtime, default_compiler_options
 
 import pytest
 
@@ -125,6 +129,30 @@ class TestSerialExecution:
         text = result.render()
         assert "2 point(s)" in text
         assert "ddp" in text
+
+
+class TestRuntimeOptions:
+    def test_no_hbm_contention_reaches_the_runtime(self):
+        # repro --no-hbm-contention sweep --model gpt --card 8 --boxes 4
+        #   --policy ddp --tp 2 --pp 2
+        spec = sweep_spec_from_cli(
+            ["gpt"], [], [], [8], ["ddp"], boxes=[4], tp=2, pp=2
+        )
+        hls1 = HLS1Config()
+        base = dataclasses.replace(
+            default_compiler_options(), hbm_contention=False
+        )
+        flagged = run_sweep(spec, hls1=hls1, options=base)
+        contended = run_sweep(spec, hls1=hls1)
+        schedule = GraphCompiler(
+            hls1.card, spec.expand()[0].options(base)
+        ).compile(record_training_step("gpt").graph)
+        system = HLS1Device(dataclasses.replace(hls1, boxes=4))
+        expected = HLS1Runtime(system).execute(
+            schedule, hbm_contention=False
+        ).total_time_us
+        assert flagged.results[0].metrics["total_time_us"] == expected
+        assert contended.results[0].metrics["total_time_us"] != expected
 
 
 class TestPooledExecution:
