@@ -1,25 +1,26 @@
 """Bench: simulator-throughput regression gate (scalar vs vector).
 
-The vectorized fluid engine exists to make sweeps affordable; this
-gate keeps it honest. It executes the GPT-2 training step on the
+The runtime's vectorized fluid loop exists to make sweeps affordable;
+this gate keeps it honest. It executes the GPT-2 training step on the
 8-card HLS-1 (the heaviest standard trace: DDP collectives + shared
-fabric + per-card HBM arbiters) under both engines, asserts the
-traces are byte-identical, then times both in one process as
-sequential best-of-N blocks — contiguous runs keep each engine's
-working set hot, where alternating engines lets the scalar pass
-evict the vector loop's caches and shaves ~10% off its measured
-throughput — and holds the result against
-``sim_throughput_thresholds.json``:
+fabric + per-card HBM arbiters) on that loop and on the scalar
+reference loop swapped in by :func:`tests.fluid_reference.scalar_loop`,
+asserts the traces are byte-identical, then times both in one process
+as sequential best-of-N blocks — contiguous runs keep each loop's
+working set hot, where alternating loops lets the scalar pass evict
+the vector loop's caches and shaves ~10% off its measured throughput —
+and holds the result against ``sim_throughput_thresholds.json``:
 
-* ``min_speedup_vs_scalar`` — the vector engine's reason to exist;
+* ``min_speedup_vs_scalar`` — the vector loop's reason to exist;
 * ``baseline_vector_events_per_sec`` x (1 - ``max_regression_fraction``)
-  — the absolute floor that catches a slow leak in both engines.
+  — the absolute floor that catches a slow leak in both loops.
 
 Every run rewrites ``BENCH_sim.json`` at the repo root with the
 measured numbers, so the perf trajectory is versioned alongside the
 code that produced it.
 """
 
+import contextlib
 import dataclasses
 import json
 import time
@@ -32,6 +33,7 @@ from repro.hw.config import HLS1Config
 from repro.hw.device import HLS1Device
 from repro.synapse import GraphCompiler, default_compiler_options
 from repro.synapse.runtime import HLS1Runtime
+from tests.fluid_reference import scalar_loop
 
 THRESHOLDS = json.loads(
     (Path(__file__).parent / "sim_throughput_thresholds.json").read_text()
@@ -49,13 +51,14 @@ def _measure() -> dict:
     )
     system_cfg = dataclasses.replace(hls1, num_cards=8)
 
-    def run(engine):
-        return HLS1Runtime(HLS1Device(system_cfg)).execute(
-            schedule, engine=engine
-        )
+    loops = {"scalar": scalar_loop, "vector": contextlib.nullcontext}
 
-    # correctness first (also warms both engines' prep caches): the
-    # speedup only counts if the engines agree bit for bit
+    def run(engine):
+        with loops[engine]():
+            return HLS1Runtime(HLS1Device(system_cfg)).execute(schedule)
+
+    # correctness first (also warms both loops' prep caches): the
+    # speedup only counts if the loops agree bit for bit
     scalar, vector = run("scalar"), run("vector")
     assert scalar.timeline.events == vector.timeline.events
     assert scalar.total_time_us == vector.total_time_us
@@ -64,7 +67,7 @@ def _measure() -> dict:
     assert scalar.contention_stall_us == vector.contention_stall_us
 
     best = {"scalar": float("inf"), "vector": float("inf")}
-    for engine in best:  # contiguous per-engine blocks (see module doc)
+    for engine in best:  # contiguous per-loop blocks (see module doc)
         for _ in range(THRESHOLDS["rounds"]):
             t0 = time.perf_counter()
             run(engine)
@@ -94,7 +97,7 @@ def test_sim_throughput_regression(benchmark, record_info):
     result = benchmark.pedantic(_measure, rounds=1, iterations=1)
 
     assert result["speedup"] >= THRESHOLDS["min_speedup_vs_scalar"], (
-        f"vector engine speedup {result['speedup']}x fell below the "
+        f"vector loop speedup {result['speedup']}x fell below the "
         f"{THRESHOLDS['min_speedup_vs_scalar']}x gate"
     )
     floor = THRESHOLDS["baseline_vector_events_per_sec"] * (
@@ -102,7 +105,7 @@ def test_sim_throughput_regression(benchmark, record_info):
     )
     measured = result["vector"]["events_per_sec"]
     assert measured >= floor, (
-        f"vector engine throughput {measured:,} events/s regressed "
+        f"vector loop throughput {measured:,} events/s regressed "
         f">{THRESHOLDS['max_regression_fraction']:.0%} below the "
         f"{THRESHOLDS['baseline_vector_events_per_sec']:,} baseline"
     )

@@ -11,6 +11,7 @@ run is refused with a typed :class:`~repro.util.errors.ReproError`
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Callable
 
@@ -235,10 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--scheduler", choices=("inorder", "reorder", "lookahead"),
         default=None,
-        help="out-of-order issue policy when reordering is on: "
-             "'reorder' is the legacy greedy earliest-ready scheduler, "
-             "'lookahead' (default) adds critical-path priorities and "
-             "an MME-starvation lookahead",
+        help="runtime issue policy: 'inorder' (default) issues each "
+             "engine's queue in program order, 'reorder' is the greedy "
+             "earliest-ready scheduler, 'lookahead' adds critical-path "
+             "priorities and an MME-starvation lookahead",
     )
     parser.add_argument(
         "--tpc-slice-ops", action="store_true",
@@ -407,49 +408,26 @@ def _run(args: argparse.Namespace) -> int:
     options = default_compiler_options()
     if args.disable_pass:
         options = disable_passes(options, *args.disable_pass)
-    if args.no_recipe_cache:
-        import dataclasses
-
-        options = dataclasses.replace(options, use_recipe_cache=False)
-    if args.no_hbm_contention:
-        import dataclasses
-
-        options = dataclasses.replace(options, hbm_contention=False)
-    if args.bucket_mb is not None:
-        import dataclasses
-
-        options = dataclasses.replace(options, bucket_mb=args.bucket_mb)
-    if args.no_comm_overlap:
-        import dataclasses
-
-        options = dataclasses.replace(options, comm_overlap=False)
-    if args.scheduler is not None:
-        import dataclasses
-
-        options = dataclasses.replace(options, scheduler=args.scheduler)
     if args.backend is not None:
-        import dataclasses
-
         from .hw.backend import get_backend
 
         get_backend(args.backend)  # fail fast on unknown names
-        options = dataclasses.replace(options, backend=args.backend)
-    if args.tpc_slice_ops:
-        import dataclasses
-
-        options = dataclasses.replace(options, tpc_slice_ops=True)
-    if args.hbm_budget is not None:
-        import dataclasses
-
-        options = dataclasses.replace(
-            options, hbm_budget=int(args.hbm_budget * (1 << 30))
-        )
-    if args.memory_policy is not None:
-        import dataclasses
-
-        options = dataclasses.replace(
-            options, memory_policy=args.memory_policy
-        )
+    budget = args.hbm_budget
+    # each flag given on the command line overrides one field
+    flags = {
+        "use_recipe_cache": False if args.no_recipe_cache else None,
+        "hbm_contention": False if args.no_hbm_contention else None,
+        "bucket_mb": args.bucket_mb,
+        "comm_overlap": False if args.no_comm_overlap else None,
+        "scheduler": args.scheduler,
+        "backend": args.backend,
+        "tpc_slice_ops": True if args.tpc_slice_ops else None,
+        "hbm_budget": None if budget is None else int(budget * (1 << 30)),
+        "memory_policy": args.memory_policy,
+    }
+    options = dataclasses.replace(
+        options, **{k: v for k, v in flags.items() if v is not None}
+    )
     set_default_compiler_options(options)
     if args.recipe_cache_dir is not None:
         set_default_recipe_cache_dir(args.recipe_cache_dir)
@@ -509,9 +487,7 @@ def _run(args: argparse.Namespace) -> int:
         ]
         serve_options = None
         if args.attention_kernel:
-            import dataclasses as _dc
-
-            serve_options = _dc.replace(
+            serve_options = dataclasses.replace(
                 default_compiler_options(),
                 attention_lowering=args.attention_kernel,
             )

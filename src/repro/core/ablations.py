@@ -1,7 +1,8 @@
 """Ablations over the design choices DESIGN.md calls out.
 
 * A1 — runtime reordering: what if the GraphCompiler "detect[ed] the
-  independence" (§3.3) and issued any ready op? (Performer shapes.)
+  independence" (§3.3) and issued any ready op? In-order issue vs the
+  lookahead scheduler (Performer shapes).
 * A2 — elementwise fusion on/off (layer shapes).
 * A3 — TPC core count sweep: how the softmax bottleneck scales with
   cluster width.
@@ -75,13 +76,14 @@ class ReorderAblationResult:
 def run_reorder_ablation(
     kind: str = "performer", *, config: GaudiConfig | None = None
 ) -> ReorderAblationResult:
-    """Profile one layer under both issue disciplines."""
+    """Profile one layer in order and under the lookahead scheduler."""
+
+    def profile(scheduler: str) -> ProfileResult:
+        options = CompilerOptions(scheduler=scheduler)
+        return profile_layer(kind, config=config, options=options)
+
     return ReorderAblationResult(
-        kind=kind,
-        in_order=profile_layer(kind, config=config,
-                               options=CompilerOptions(reorder=False)),
-        reordered=profile_layer(kind, config=config,
-                                options=CompilerOptions(reorder=True)),
+        kind=kind, in_order=profile("inorder"), reordered=profile("lookahead")
     )
 
 
@@ -437,10 +439,11 @@ class HbmContentionAblationResult:
     """The shared-HBM model's effect across the paper's workloads.
 
     Re-times the Fig 4-9 workloads plus the overlap-heavy extensions
-    (A1's reordered Performer, A6's pipelined attention) with HBM
-    contention on and off. The compiled schedule is identical in both
-    runs — only the runtime's memory model changes — so every delta is
-    attributable to bandwidth sharing.
+    (the Performer under the greedy ``reorder`` scheduler, A6's
+    pipelined attention) with HBM contention on and off. The compiled
+    schedule is identical in both runs — only the runtime's memory
+    model changes — so every delta is attributable to bandwidth
+    sharing.
     """
 
     rows: list[ContentionRow] = field(default_factory=list)
@@ -513,7 +516,7 @@ class HbmContentionAblationResult:
 
 
 def _contention_pair(
-    graph, config: GaudiConfig, *, reorder: bool = False
+    graph, config: GaudiConfig, *, scheduler: str = "inorder"
 ) -> tuple[ProfileResult, ProfileResult]:
     """Compile once, execute under both memory models.
 
@@ -528,7 +531,7 @@ def _contention_pair(
     out = []
     for contention in (True, False):
         result = Runtime(GaudiDevice(config)).execute(
-            schedule, reorder=reorder, hbm_contention=contention
+            schedule, scheduler=scheduler, hbm_contention=contention
         )
         timeline = result.timeline.shifted(-result.start_offset_us)
         out.append(ProfileResult(
@@ -565,23 +568,24 @@ def run_hbm_contention_ablation(
     config = config or GaudiConfig()
     result = HbmContentionAblationResult()
 
-    workloads: list[tuple[str, object, bool]] = [
-        ("softmax layer (fig4)", _layer_graph("softmax"), False),
-        ("linear layer (fig5)", _layer_graph("linear"), False),
-        ("performer layer (fig6)", _layer_graph("performer"), False),
+    # the "(A1)" row runs the greedy scheduler, not A1's lookahead
+    workloads: list[tuple[str, object, str]] = [
+        ("softmax layer (fig4)", _layer_graph("softmax"), "inorder"),
+        ("linear layer (fig5)", _layer_graph("linear"), "inorder"),
+        ("performer layer (fig6)", _layer_graph("performer"), "inorder"),
         ("GLU activation layer (fig7)",
          _layer_graph("linear", feature_map="glu", batch=8, seq_len=256),
-         False),
+         "inorder"),
         ("GPT train step (fig8)",
-         record_training_step("gpt").graph, False),
+         record_training_step("gpt").graph, "inorder"),
         ("BERT train step (fig9)",
-         record_training_step("bert").graph, False),
-        ("performer + reorder (A1)", _layer_graph("performer"), True),
-        ("pipelined attention (A6)", _layer_graph("pipelined"), False),
+         record_training_step("bert").graph, "inorder"),
+        ("performer + reorder (A1)", _layer_graph("performer"), "reorder"),
+        ("pipelined attention (A6)", _layer_graph("pipelined"), "inorder"),
     ]
-    for name, graph, reorder in workloads:
+    for name, graph, scheduler in workloads:
         contended, uncontended = _contention_pair(
-            graph, config, reorder=reorder
+            graph, config, scheduler=scheduler
         )
         result.rows.append(ContentionRow(name, contended, uncontended))
     return result

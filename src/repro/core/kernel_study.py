@@ -62,9 +62,8 @@ SCORE_TRAFFIC_RATIO_MIN = 8.0
 
 #: the two scheduling regimes each lowering is crossed with
 SCHEDULES: tuple[tuple[str, dict], ...] = (
-    ("in-order", dict(reorder=False)),
-    ("scheduler",
-     dict(reorder=True, scheduler="lookahead", tpc_slice_ops=True)),
+    ("in-order", dict(scheduler="inorder")),
+    ("scheduler", dict(scheduler="lookahead", tpc_slice_ops=True)),
 )
 
 

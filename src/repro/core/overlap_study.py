@@ -14,7 +14,8 @@ This ablation measures the gap closure (Fig. 4 -> Fig. 5-style
 overlap) across four configurations per workload:
 
 * in-order (SynapseAI's discipline, the Fig. 4 baseline),
-* reorder — the greedy earliest-ready list scheduler (A1's policy),
+* reorder — the greedy earliest-ready list scheduler (A11's
+  "performer + reorder" row),
 * lookahead — critical-path priorities + MME-starvation boost,
 * lookahead + slicing — the full overlap machinery.
 
@@ -55,11 +56,10 @@ EXP_EXPOSURE_RATIO_MAX = 0.05
 
 #: the four (label, CompilerOptions kwargs) configurations per workload
 CONFIGS: tuple[tuple[str, dict], ...] = (
-    ("in-order", dict(reorder=False)),
-    ("reorder", dict(reorder=True, scheduler="reorder")),
-    ("lookahead", dict(reorder=True, scheduler="lookahead")),
-    ("lookahead+slicing",
-     dict(reorder=True, scheduler="lookahead", tpc_slice_ops=True)),
+    ("in-order", dict(scheduler="inorder")),
+    ("reorder", dict(scheduler="reorder")),
+    ("lookahead", dict(scheduler="lookahead")),
+    ("lookahead+slicing", dict(scheduler="lookahead", tpc_slice_ops=True)),
 )
 
 

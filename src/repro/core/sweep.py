@@ -53,12 +53,9 @@ SWEEP_POLICIES: dict[str, tuple[tuple[str, Any], ...]] = {
     "default": (),
     "ddp": (("inject_collectives", True),),
     "no-overlap": (("inject_collectives", True), ("comm_overlap", False)),
-    "reorder": (("reorder", True), ("scheduler", "reorder")),
-    "lookahead": (("reorder", True), ("scheduler", "lookahead")),
-    "slicing": (
-        ("reorder", True), ("scheduler", "lookahead"),
-        ("tpc_slice_ops", True),
-    ),
+    "reorder": (("scheduler", "reorder"),),
+    "lookahead": (("scheduler", "lookahead"),),
+    "slicing": (("scheduler", "lookahead"), ("tpc_slice_ops", True)),
 }
 
 
@@ -293,11 +290,11 @@ def _hls1_metrics(
 ) -> dict:
     """Execute one schedule on ``boxes`` boxes of ``cards`` cards.
 
-    The runtime-only options (``reorder``, ``scheduler``,
-    ``hbm_contention``) apply exactly as in a profiler run. A
-    non-Gaudi backend has no multi-card system model: its points
-    (already validated to ``cards == boxes == 1``) execute on that
-    backend's single device instead of the HLS-1 population.
+    The runtime-only options (``scheduler``, ``hbm_contention``)
+    apply exactly as in a profiler run. A non-Gaudi backend has no
+    multi-card system model: its points (already validated to
+    ``cards == boxes == 1``) execute on that backend's single device
+    instead of the HLS-1 population.
     """
     if options.backend != "gaudi":
         from ..hw.backend import get_backend

@@ -2,7 +2,7 @@
 
 Graph IR -> op registry (Table 1's operation/engine mapping) ->
 lowering -> GraphCompiler (fusion, DMA staging, recompilation events,
-memory planning) -> Runtime (in-order or reordered issue) ->
+memory planning) -> Runtime (in-order, reorder or lookahead issue) ->
 SynapseProfiler (hardware trace events + the paper's derived metrics).
 """
 

@@ -23,8 +23,9 @@ shared :class:`~repro.synapse.passes.state.CompilationState`:
   via the op registry (matmul to the MME, everything else to the TPC)
   and per-engine issue preserves program order, which is what turns a
   serial matmul->softmax->matmul chain into MME idle gaps (Fig. 4).
-  The ``reorder`` option gives the runtime license to pick any ready
-  op (the ablation the paper wishes for).
+  The ``scheduler`` option gives the runtime license to pick any
+  ready op (``"reorder"``, ``"lookahead"``: the ablation the paper
+  wishes for).
 * ``tensor_parallel`` — weight matmuls shard over the TP group with
   all-gather/all-reduce NIC ops on the marked weight dims (off at
   ``tp=1``).
@@ -80,9 +81,6 @@ class CompilerOptions:
     #: instead of scheduling them — a zero-cost view must not occupy an
     #: in-order engine slot (it would serialize software pipelines)
     elide_views: bool = True
-    #: let the runtime pick any ready op instead of per-engine program
-    #: order — the "what if the compiler detected independence" ablation
-    reorder: bool = False
     #: model HBM bandwidth as one shared, arbitrated resource: ops with
     #: overlapping execution split the effective bandwidth (processor
     #: sharing), stretching memory-bound phases that co-execute. Off,
@@ -124,17 +122,14 @@ class CompilerOptions:
     #: off = one monolithic all-reduce after the last gradient
     #: (``--no-comm-overlap``)
     comm_overlap: bool = True
-    #: out-of-order issue policy used when ``reorder`` is on:
-    #: ``"lookahead"`` (critical-path list scheduler with an
-    #: MME-starvation tiebreak, the default) or ``"reorder"`` (the
-    #: legacy greedy earliest-ready scheduler, ``--scheduler=reorder``).
-    #: Runtime-only: selects how the runtime orders ready ops.
-    scheduler: str = "lookahead"
-    #: fluid-loop implementation: ``"vector"`` (the production engine)
-    #: or ``"scalar"`` (the per-event reference it is byte-identical
-    #: to). Runtime-only: never changes timings, only how fast the
-    #: simulator computes them (``--sim-engine``).
-    sim_engine: str = "vector"
+    #: runtime issue policy (``--scheduler``): ``"inorder"`` (per-engine
+    #: program order, what SynapseAI does), ``"reorder"`` (greedy
+    #: earliest-ready list scheduler) or ``"lookahead"`` (critical-path
+    #: list scheduler with an MME-starvation tiebreak). The two
+    #: out-of-order policies are the "what if the compiler detected
+    #: independence" ablations. Runtime-only: selects how the runtime
+    #: orders ready ops.
+    scheduler: str = "inorder"
     #: split large batch-parallel TPC ops (softmax, feature-map exp,
     #: activations) into row slices that pipeline against pending MME
     #: work (the ``tpc_slicing`` pass; off by default — it changes the
@@ -184,16 +179,9 @@ class CompilerOptions:
     backend: str = "gaudi"
 
     def runtime_kwargs(self) -> dict:
-        """The runtime-only options as :meth:`Runtime.execute` keywords.
-
-        ``scheduler`` applies only when ``reorder`` is on; otherwise
-        the runtime keeps its in-order default.
-        """
+        """The runtime-only options as :meth:`Runtime.execute` keywords."""
         return dict(
-            reorder=self.reorder,
-            hbm_contention=self.hbm_contention,
-            scheduler=self.scheduler if self.reorder else None,
-            engine=self.sim_engine,
+            scheduler=self.scheduler, hbm_contention=self.hbm_contention
         )
 
 

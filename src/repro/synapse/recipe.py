@@ -11,9 +11,9 @@ identical workload returns the cached recipe instead of re-running the
 pass pipeline. First-compile vs. cached-iteration becomes a measured
 phenomenon rather than a modeled constant.
 
-Runtime-only options (``reorder``, ``scheduler``, ``hbm_contention``,
-``use_recipe_cache``) are excluded from the key: they do not change
-the compiled schedule.
+Runtime-only options (``scheduler``, ``hbm_contention``,
+``use_recipe_cache``, ``incremental``) are excluded from the key: they
+do not change the compiled schedule.
 
 The cache can also persist recipes to disk (``save_dir`` /
 ``--recipe-cache-dir``): every put writes a signature-keyed JSON blob,
@@ -50,8 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 #: (``incremental`` only changes how fast compilation runs — replayed
 #: pass results are byte-identical to recomputed ones)
 _RUNTIME_ONLY_OPTIONS = (
-    "reorder", "scheduler", "sim_engine", "hbm_contention",
-    "use_recipe_cache", "incremental",
+    "scheduler", "hbm_contention", "use_recipe_cache", "incremental",
 )
 
 #: default on-disk recipe directory when persistence is requested

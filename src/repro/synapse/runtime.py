@@ -1,7 +1,6 @@
 """Runtime: execute a compiled schedule on a simulated device.
 
 Three issue disciplines, selected by
-:attr:`~repro.synapse.compiler.CompilerOptions.reorder` and
 :attr:`~repro.synapse.compiler.CompilerOptions.scheduler`:
 
 * **in-order** (default, what SynapseAI does): each engine issues its
@@ -9,14 +8,14 @@ Three issue disciplines, selected by
   AND its producers are done. Engines still overlap *across* queues —
   this is what produces both the good overlap of Fig 5 and the MME idle
   gaps of Figs 4/6/8/9.
-* **reorder** (``--scheduler=reorder``): an engine may start any
+* **reorder** (``--scheduler reorder``): an engine may start any
   *ready* op, earliest-ready first (ties by program order) — a greedy
   list scheduler standing in for a compiler that "detect[s]
   independence" (§3.3's Performer discussion). Issue order is planned
   once from the uncontended durations (a lazy min-heap keyed on
   (earliest start, program order)), then executed under whichever
   memory model is active.
-* **lookahead** (the default out-of-order policy): a critical-path
+* **lookahead** (``--scheduler lookahead``): a critical-path
   list scheduler. Ops are prioritized by *bottom level* (the longest
   uncontended dependency chain hanging off them), with an
   MME-starvation tiebreak: while the MME sits idle with nothing ready,
@@ -54,7 +53,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from ..hw.bandwidth import BandwidthArbiter, TwoTierFabric
@@ -73,24 +71,6 @@ from .trace import Timeline, TraceEvent, fast_trace_event
 
 #: slack when deciding an event time has been reached (us)
 _TIME_EPS_US = 1e-9
-
-#: fluid-loop implementation used when the caller does not pick one;
-#: "vector" is the production engine, "scalar" the per-event reference
-DEFAULT_SIM_ENGINE = "vector"
-
-#: the recognized fluid-loop implementations
-SIM_ENGINES = ("vector", "scalar")
-
-
-def _resolve_engine(engine: str | None) -> str:
-    """Validate the fluid-engine name, defaulting to the fast one."""
-    resolved = engine or DEFAULT_SIM_ENGINE
-    if resolved not in SIM_ENGINES:
-        raise ExecutionError(
-            f"unknown sim engine {resolved!r} (expected one of {SIM_ENGINES})"
-        )
-    return resolved
-
 
 def fused_chain_traffic_bytes(op: ScheduledOp) -> int:
     """HBM bytes a fused chain moves: all external reads + final write.
@@ -188,21 +168,14 @@ class Runtime:
         self,
         schedule: Schedule,
         *,
-        reorder: bool = False,
+        scheduler: str = "inorder",
         hbm_contention: bool = True,
-        scheduler: str | None = None,
-        engine: str | None = None,
     ) -> ExecutionResult:
         """Run ``schedule``; the device clock keeps advancing across calls.
 
-        ``scheduler`` names the issue policy explicitly (``"inorder"``,
-        ``"reorder"``, ``"lookahead"``) and wins over the ``reorder``
-        boolean; when ``None`` the legacy mapping applies (``reorder``
-        selects the greedy planner, otherwise program order).
-
-        ``engine`` picks the fluid-loop implementation for contended
-        runs: ``"vector"`` (the default) or ``"scalar"``, the per-event
-        reference the vector loop is byte-identical to.
+        ``scheduler`` names the issue policy (``"inorder"``,
+        ``"reorder"`` or ``"lookahead"``); ``hbm_contention`` picks the
+        memory model (see the module docstring).
         """
         start_offset = self.device.now
         cost = self.device.cost_model
@@ -211,13 +184,10 @@ class Runtime:
         # :func:`op_duration_us` exactly (see :class:`CostParts`)
         prep = _schedule_prep(schedule, cost)
         durations = prep.durations
-        order = self._plan_order(
-            schedule, durations, start_offset,
-            reorder=reorder, scheduler=scheduler,
-        )
+        order = self._plan_order(schedule, durations, start_offset, scheduler)
         if hbm_contention:
-            events, stall_total = self._execute_contended(
-                schedule, order, start_offset, engine=engine, prep=prep
+            events, stall_total = _fluid_execute_vector(
+                [self.device], schedule, order, start_offset, prep=prep
             )
         else:
             events = self._replay(schedule, order, durations, start_offset)
@@ -238,22 +208,6 @@ class Runtime:
 
     # -- uncontended execution ------------------------------------------------
 
-    def _record(
-        self, op: ScheduledOp, ready: float, duration: float
-    ) -> TraceEvent:
-        interval = self.device.timeline(op.engine).reserve(
-            ready, duration, op.label
-        )
-        return TraceEvent(
-            name=op.label,
-            engine=op.engine,
-            start_us=interval.start,
-            dur_us=duration,
-            src=op.src,
-            scope=op.scope,
-            flops=op.flops,
-        )
-
     def _replay(
         self,
         schedule: Schedule,
@@ -273,7 +227,14 @@ class Runtime:
         for idx in order:
             op = schedule.ops[idx]
             ready = max((finish[d] for d in op.deps), default=t0)
-            event = self._record(op, ready, durations[idx])
+            interval = self.device.timeline(op.engine).reserve(
+                ready, durations[idx], op.label
+            )
+            event = TraceEvent(
+                name=op.label, engine=op.engine, start_us=interval.start,
+                dur_us=durations[idx], src=op.src, scope=op.scope,
+                flops=op.flops,
+            )
             finish[idx] = event.end_us
             events.append(event)
         return events
@@ -285,22 +246,17 @@ class Runtime:
         schedule: Schedule,
         durations: list[float],
         t0: float,
-        *,
-        reorder: bool,
-        scheduler: str | None,
+        scheduler: str,
     ) -> list[int]:
-        """Resolve the issue policy and plan the order it prescribes."""
-        policy = scheduler
-        if policy is None:
-            policy = "reorder" if reorder else "inorder"
-        if policy == "inorder":
+        """Plan the issue order the ``scheduler`` policy prescribes."""
+        if scheduler == "inorder":
             return [op.index for op in schedule.ops]
-        if policy == "reorder":
+        if scheduler == "reorder":
             return self._plan_reorder(schedule, durations, t0)
-        if policy == "lookahead":
+        if scheduler == "lookahead":
             return self._plan_lookahead(schedule, durations, t0)
         raise ExecutionError(
-            f"unknown scheduler {policy!r} "
+            f"unknown scheduler {scheduler!r} "
             "(expected 'inorder', 'reorder' or 'lookahead')"
         )
 
@@ -373,50 +329,6 @@ class Runtime:
                     ready_time[consumer] = r
                     eng = schedule.ops[consumer].engine
                     heapq.heappush(heap, (max(r, free[eng]), consumer))
-        return order
-
-    def _plan_reorder_scan(
-        self, schedule: Schedule, durations: list[float], t0: float
-    ) -> list[int]:
-        """Reference O(n²) planner (the pre-heap implementation).
-
-        Kept only so tests can assert the heap planner reproduces its
-        selection byte for byte on benchmark workloads.
-        """
-        n = len(schedule.ops)
-        consumers_of, blocked_by = self._dep_graph(schedule)
-        free = {
-            op.engine: self.device.timeline(op.engine).free_at
-            for op in schedule.ops
-        }
-        finish: dict[int, float] = {}
-        ready_time = {i: t0 for i in range(n) if blocked_by[i] == 0}
-        order: list[int] = []
-        while len(order) < n:
-            best: tuple[float, int] | None = None
-            for idx, r in ready_time.items():
-                op = schedule.ops[idx]
-                key = (max(r, free[op.engine]), idx)
-                if best is None or key < best:
-                    best = key
-            if best is None:
-                raise ExecutionError(
-                    "deadlock: no ready ops but schedule incomplete "
-                    "(cyclic dependencies?)"
-                )
-            _, idx = best
-            op = schedule.ops[idx]
-            start = max(ready_time.pop(idx), free[op.engine])
-            finish[idx] = start + durations[idx]
-            free[op.engine] = finish[idx]
-            order.append(idx)
-            for consumer in consumers_of[idx]:
-                blocked_by[consumer] -= 1
-                if blocked_by[consumer] == 0:
-                    ready_time[consumer] = max(
-                        (finish[d] for d in schedule.ops[consumer].deps),
-                        default=t0,
-                    )
         return order
 
     def _plan_lookahead(
@@ -531,34 +443,6 @@ class Runtime:
                     )
         return order
 
-    # -- contended execution --------------------------------------------------
-
-    def _execute_contended(
-        self,
-        schedule: Schedule,
-        order: list[int],
-        t0: float,
-        *,
-        shared: bool = True,
-        engine: str | None = None,
-        prep: "_SchedulePrep | None" = None,
-    ) -> tuple[list[TraceEvent], float]:
-        """Fluid discrete-event execution against the shared HBM.
-
-        Single-card entry point: the shared fluid loop with one card
-        and no fabric. ``shared=False`` grants every drainer its full
-        uncontended rate — same event machinery, pre-contention timings
-        (used by equivalence tests).
-        """
-        if _resolve_engine(engine) == "vector":
-            return _fluid_execute_vector(
-                [self.device], schedule, order, t0, shared=shared, prep=prep
-            )
-        return _fluid_execute(
-            [self.device], schedule, order, t0, shared=shared,
-            parts=prep.parts if prep is not None else None,
-        )
-
 
 class _SchedulePrep:
     """Per-(schedule, device config) derivations the runtime reuses.
@@ -573,8 +457,8 @@ class _SchedulePrep:
     """
 
     __slots__ = (
-        "parts", "durations", "compute", "hbm", "serial", "nominal",
-        "cap", "flops", "labels", "srcs", "scopes", "eng", "engines",
+        "durations", "compute", "hbm", "serial", "nominal",
+        "cap", "labels", "srcs", "scopes", "eng", "engines",
         "consumers_of", "blocked_proto", "protos",
     )
 
@@ -582,7 +466,6 @@ class _SchedulePrep:
         bandwidth = cost.mem_bandwidth
         ops = schedule.ops
         parts = [op_cost_parts(cost, op) for op in ops]
-        self.parts = parts
         self.durations = [p.uncontended_time_us(bandwidth) for p in parts]
         self.compute = [p.compute_us for p in parts]
         self.hbm = [p.hbm_bytes for p in parts]
@@ -591,7 +474,6 @@ class _SchedulePrep:
             max(p.compute_us, p.uncontended_mem_us(bandwidth)) for p in parts
         ]
         self.cap = [p.rate_cap for p in parts]
-        self.flops = [op.flops for op in ops]
         self.labels = [op.label for op in ops]
         self.srcs = [op.src for op in ops]
         self.scopes = [op.scope for op in ops]
@@ -640,18 +522,17 @@ def _schedule_prep(schedule: Schedule, cost: CostModel) -> _SchedulePrep:
     return prep
 
 
-def _fluid_execute(
+def _fluid_execute_vector(
     cards: list[GaudiDevice],
     schedule: Schedule,
     order: list[int],
     t0: float,
     *,
-    shared: bool = True,
+    prep: _SchedulePrep,
     fabric: BandwidthArbiter | None = None,
     plans: dict[int, CollectivePlan] | None = None,
-    parts: list[CostParts] | None = None,
 ) -> tuple[list[TraceEvent], float]:
-    """The fluid event loop, generalized to N cards + a shared fabric.
+    """The fluid event loop: N cards, their HBM arbiters, one fabric.
 
     Every card replays the same schedule in the same issue ``order`` on
     its own clock; per-card HBM traffic drains through that card's own
@@ -662,242 +543,19 @@ def _fluid_execute(
     step's aggregate wire bytes draining through the fabric arbiter at
     up to the plan's rate cap. All cards finish the collective at the
     same instant, which is what makes collectives cross-card
-    synchronization points. With one card and no fabric this reduces
-    exactly (float for float) to the single-card contended loop.
-    """
-    ncards = len(cards)
-    cost = cards[0].cost_model
-    bandwidth = cost.mem_bandwidth
-    if parts is None:
-        parts = [op_cost_parts(cost, op) for op in schedule.ops]
-    arbiters = [BandwidthArbiter(bandwidth, shared=shared) for _ in cards]
-    plans = plans or {}
-    n = len(schedule.ops)
-    consumers_of, blocked_by_proto = Runtime._dep_graph(schedule)
-    blocked_by = [list(blocked_by_proto) for _ in cards]
+    synchronization points.
 
-    queues: dict[tuple[int, EngineKind], deque[int]] = {}
-    for c in range(ncards):
-        for idx in order:
-            queues.setdefault(
-                (c, schedule.ops[idx].engine), deque()
-            ).append(idx)
-    engine_busy = {key: False for key in queues}
-
-    start_of: dict[tuple[int, int], float] = {}
-    compute_end: dict[tuple[int, int], float] = {}
-    bytes_end: dict[tuple[int, int], float] = {}
-    finish: dict[tuple[int, int], float] = {}
-    pending_finish: list[tuple[float, int, int]] = []
-    #: collective idx -> card -> time the card's NIC joined
-    coll_join: dict[int, dict[int, float]] = {}
-    #: collective idx -> current ring-step number
-    coll_step: dict[int, int] = {}
-    #: (latency-expiry time, collective idx): the step's wire may drain
-    timers: list[tuple[float, int]] = []
-    events: list[TraceEvent] = []
-    stall_total = 0.0
-    done = 0
-    now = t0
-
-    def start(c: int, idx: int) -> None:
-        op = schedule.ops[idx]
-        plan = plans.get(idx)
-        if plan is not None and plan.steps:
-            engine_busy[(c, op.engine)] = True
-            joined = coll_join.setdefault(idx, {})
-            joined[c] = now
-            if len(joined) == ncards:
-                coll_step[idx] = 0
-                heapq.heappush(
-                    timers, (now + plan.steps[0].latency_us, idx)
-                )
-            return
-        p = parts[idx]
-        engine_busy[(c, op.engine)] = True
-        start_of[(c, idx)] = now
-        compute_end[(c, idx)] = now + p.compute_us
-        if p.hbm_bytes > 0:
-            arbiters[c].admit(idx, p.hbm_bytes, now, rate_cap=p.rate_cap)
-        else:
-            bytes_end[(c, idx)] = now
-            heapq.heappush(
-                pending_finish, (compute_end[(c, idx)] + p.serial_us, idx, c)
-            )
-
-    def finish_op(c: int, idx: int, t: float) -> None:
-        nonlocal stall_total
-        op = schedule.ops[idx]
-        p = parts[idx]
-        engine_busy[(c, op.engine)] = False
-        finish[(c, idx)] = t
-        for consumer in consumers_of[idx]:
-            blocked_by[c][consumer] -= 1
-        begun = start_of[(c, idx)]
-        duration = t - begun
-        active = max(compute_end[(c, idx)], bytes_end[(c, idx)]) - begun
-        nominal = max(p.compute_us, p.uncontended_mem_us(bandwidth))
-        stall = max(0.0, active - nominal)
-        stall_total += stall
-        achieved_gbps = 0.0
-        if p.hbm_bytes > 0:
-            span_us = bytes_end[(c, idx)] - begun
-            if span_us > 0:
-                achieved_gbps = p.hbm_bytes / (span_us * 1e-6) / 1e9
-        interval = cards[c].timeline(op.engine).reserve(
-            begun, duration, op.label
-        )
-        events.append(TraceEvent(
-            name=op.label,
-            engine=op.engine,
-            start_us=interval.start,
-            dur_us=duration,
-            src=op.src,
-            scope=op.scope,
-            flops=op.flops,
-            hbm_bytes=p.hbm_bytes,
-            hbm_gbps=achieved_gbps,
-            contention_stall_us=stall,
-            card=c,
-        ))
-
-    def begin_drain(idx: int) -> None:
-        """A step's link latency expired; put its wire on the fabric."""
-        plan = plans[idx]
-        step = plan.steps[coll_step[idx]]
-        if step.wire_bytes > 0:
-            assert fabric is not None, "collective steps need a fabric"
-            if step.tier != "intra":
-                # inter-box hops only exist in hierarchical plans, whose
-                # runs always construct a TwoTierFabric
-                fabric.admit(
-                    idx, step.wire_bytes, now,
-                    rate_cap=plan.inter_rate_cap, tier="inter",
-                )
-            else:
-                fabric.admit(idx, step.wire_bytes, now, rate_cap=plan.rate_cap)
-        else:
-            step_complete(idx, now)
-
-    def step_complete(idx: int, t: float) -> None:
-        plan = plans[idx]
-        coll_step[idx] += 1
-        if coll_step[idx] < len(plan.steps):
-            heapq.heappush(
-                timers, (t + plan.steps[coll_step[idx]].latency_us, idx)
-            )
-        else:
-            finish_collective(idx, t)
-
-    def finish_collective(idx: int, t: float) -> None:
-        nonlocal stall_total, done
-        op = schedule.ops[idx]
-        plan = plans[idx]
-        started = max(coll_join[idx].values())
-        stall = max(0.0, (t - started) - plan.analytic_time_us)
-        stall_total += stall
-        for c in range(ncards):
-            engine_busy[(c, op.engine)] = False
-            begun = coll_join[idx][c]
-            cards[c].timeline(op.engine).reserve(begun, t - begun, op.label)
-            events.append(TraceEvent(
-                name=op.label,
-                engine=op.engine,
-                start_us=begun,
-                dur_us=t - begun,
-                src=op.src,
-                scope=op.scope,
-                contention_stall_us=stall if c == 0 else 0.0,
-                card=c,
-            ))
-            finish[(c, idx)] = t
-            for consumer in consumers_of[idx]:
-                blocked_by[c][consumer] -= 1
-            done += 1
-
-    target = n * ncards
-    while done < target:
-        progress = True
-        while progress:
-            progress = False
-            while (
-                pending_finish
-                and pending_finish[0][0] <= now + _TIME_EPS_US
-            ):
-                t, idx, c = heapq.heappop(pending_finish)
-                finish_op(c, idx, t)
-                done += 1
-                progress = True
-            while timers and timers[0][0] <= now + _TIME_EPS_US:
-                _, idx = heapq.heappop(timers)
-                begin_drain(idx)
-                progress = True
-            for (c, engine), queue in queues.items():
-                if engine_busy[(c, engine)] or not queue:
-                    continue
-                if blocked_by[c][queue[0]] == 0:
-                    start(c, queue.popleft())
-                    progress = True
-        if done == target:
-            break
-        candidates = []
-        for arbiter in arbiters:
-            next_drain = arbiter.next_completion_us()
-            if next_drain is not None:
-                candidates.append(next_drain)
-        if fabric is not None:
-            next_wire = fabric.next_completion_us()
-            if next_wire is not None:
-                candidates.append(next_wire)
-        if pending_finish:
-            candidates.append(pending_finish[0][0])
-        if timers:
-            candidates.append(timers[0][0])
-        if not candidates:
-            raise ExecutionError(
-                "deadlock: no ready ops but schedule incomplete "
-                "(cyclic dependencies?)"
-            )
-        now = max(now, min(candidates))
-        for c, arbiter in enumerate(arbiters):
-            for idx in sorted(arbiter.advance(now)):
-                bytes_end[(c, idx)] = now
-                heapq.heappush(
-                    pending_finish,
-                    (
-                        max(compute_end[(c, idx)], now)
-                        + parts[idx].serial_us,
-                        idx,
-                        c,
-                    ),
-                )
-        if fabric is not None:
-            for idx in sorted(fabric.advance(now)):
-                step_complete(idx, now)
-    return events, stall_total
-
-
-def _fluid_execute_vector(
-    cards: list[GaudiDevice],
-    schedule: Schedule,
-    order: list[int],
-    t0: float,
-    *,
-    shared: bool = True,
-    fabric: BandwidthArbiter | None = None,
-    plans: dict[int, CollectivePlan] | None = None,
-    prep: "_SchedulePrep | None" = None,
-) -> tuple[list[TraceEvent], float]:
-    """The fluid loop rewritten for throughput; byte-identical traces.
-
-    Two observations make this fast without changing a single float:
+    The loop is byte-identical to the per-event scalar reference in
+    ``tests/fluid_reference.py``, which simulates every card
+    explicitly. Two observations make it fast without changing a
+    single float:
 
     * **Cards are symmetric.** Every card replays the same schedule in
       the same order through an identical arbiter, all costs come from
       ``cards[0].cost_model``, and ``t0 = max(card.now)`` guarantees no
       engine timeline ever clamps a reservation. The per-card dynamics
       are therefore one deterministic trajectory repeated N times — so
-      this engine simulates one representative card (collectives join
+      this loop simulates one representative card (collectives join
       all cards at once by symmetry) and replicates each emitted event
       across cards in the heap order ``(t, idx, c)`` the scalar loop
       pops them in. Stall accumulation repeats the same float additions
@@ -912,16 +570,12 @@ def _fluid_execute_vector(
       rate) vectors — instead of per-event candidate scans.
 
     The phase structure (finishes, then timers, then starts, repeated
-    to fixpoint before each clock advance) is kept identical to
-    :func:`_fluid_execute`, which is what makes the integration
-    boundaries — and hence every accumulated float — match the scalar
-    reference exactly.
+    to fixpoint before each clock advance) is kept identical to the
+    scalar reference, which is what makes the integration boundaries —
+    and hence every accumulated float — match it exactly.
     """
     ncards = len(cards)
-    cost = cards[0].cost_model
-    bandwidth = cost.mem_bandwidth
-    if prep is None:
-        prep = _schedule_prep(schedule, cost)
+    bandwidth = cards[0].cost_model.mem_bandwidth
     plans = plans or {}
     n = len(schedule.ops)
     consumers_of = prep.consumers_of
@@ -933,7 +587,6 @@ def _fluid_execute_vector(
     serial_l = prep.serial
     nominal_l = prep.nominal
     cap_l = prep.cap
-    flops_l = prep.flops
     label_l = prep.labels
     src_l = prep.srcs
     scope_l = prep.scopes
@@ -963,7 +616,7 @@ def _fluid_execute_vector(
     # the loop's own HBM arbiter is dropped when the run ends, so the
     # diagnostic rate log would never be read (the fabric arbiter,
     # whose log feeds fabric_busy_us, is constructed by the caller)
-    arbiter = BandwidthArbiter(bandwidth, shared=shared, log_rates=False)
+    arbiter = BandwidthArbiter(bandwidth, log_rates=False)
     start_of = [0.0] * n
     compute_end = [0.0] * n
     bytes_end = [0.0] * n
@@ -1360,18 +1013,16 @@ class HLS1Runtime:
         self,
         schedule: Schedule,
         *,
-        reorder: bool = False,
+        scheduler: str = "inorder",
         hbm_contention: bool = True,
-        scheduler: str | None = None,
-        engine: str | None = None,
     ) -> ExecutionResult:
         """Run ``schedule`` on all cards; clocks keep advancing.
 
-        ``scheduler`` and ``engine`` resolve exactly as in
-        :meth:`Runtime.execute`. Cards are symmetric, so the vector
-        fluid loop and the uncontended replay simulate one
-        representative card and mirror its events and timeline
-        intervals onto the others.
+        ``scheduler`` and ``hbm_contention`` mean exactly what they mean
+        in :meth:`Runtime.execute`. Cards are symmetric, so the fluid
+        loop and the uncontended replay simulate one representative
+        card and mirror its events and timeline intervals onto the
+        others.
 
         A pipelined schedule (``stats["pipeline"]`` with ``pp > 1``)
         instead times fresh per-stage device slices from t=0: the
@@ -1381,9 +1032,8 @@ class HLS1Runtime:
         pinfo = schedule.stats.get("pipeline")
         if pinfo and int(pinfo.get("pp", 1) or 1) > 1:
             return self._execute_pipelined(
-                schedule, pinfo, reorder=reorder,
-                hbm_contention=hbm_contention, scheduler=scheduler,
-                engine=engine,
+                schedule, pinfo, scheduler=scheduler,
+                hbm_contention=hbm_contention,
             )
         cards = self.system.cards
         boxes = self.system.boxes
@@ -1401,7 +1051,7 @@ class HLS1Runtime:
             for op in schedule.ops
         ]
         order = Runtime(cards[0])._plan_order(
-            schedule, durations, t0, reorder=reorder, scheduler=scheduler
+            schedule, durations, t0, scheduler
         )
 
         fabric_busy = 0.0
@@ -1418,17 +1068,10 @@ class HLS1Runtime:
                 fabric = BandwidthArbiter(
                     self.system.fabric_bandwidth, shared=True
                 )
-            if _resolve_engine(engine) == "vector":
-                events, stall_total = _fluid_execute_vector(
-                    cards, schedule, order, t0,
-                    shared=True, fabric=fabric, plans=plans, prep=prep,
-                )
-            else:
-                events, stall_total = _fluid_execute(
-                    cards, schedule, order, t0,
-                    shared=True, fabric=fabric, plans=plans,
-                    parts=prep.parts,
-                )
+            events, stall_total = _fluid_execute_vector(
+                cards, schedule, order, t0,
+                fabric=fabric, plans=plans, prep=prep,
+            )
             if boxes > 1:
                 fabric_busy = fabric.busy_us()
             else:
@@ -1462,10 +1105,8 @@ class HLS1Runtime:
         schedule: Schedule,
         pinfo: dict,
         *,
-        reorder: bool,
+        scheduler: str,
         hbm_contention: bool,
-        scheduler: str | None,
-        engine: str | None,
     ) -> ExecutionResult:
         """GPipe fill/drain composition of the per-stage sub-schedules.
 
@@ -1513,10 +1154,7 @@ class HLS1Runtime:
         stall_total = 0.0
         fabric_busy = 0.0
         exposed = 0.0
-        kwargs = dict(
-            reorder=reorder, hbm_contention=hbm_contention,
-            scheduler=scheduler, engine=engine,
-        )
+        kwargs = dict(scheduler=scheduler, hbm_contention=hbm_contention)
         new_event = TraceEvent.__new__
         stages = _stage_schedules(schedule, pp, stage_of)
         for stage, (full, body) in enumerate(stages):

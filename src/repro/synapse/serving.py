@@ -11,7 +11,7 @@ and does its plan fit HBM?" into a dictionary lookup:
   :class:`~repro.synapse.recipe.RecipeCache` (incremental
   recompilation replays the structural passes across geometries of the
   same step type), and executed once on a fresh device with the
-  configured fluid engine — the event-driven runtime is deterministic,
+  configured runtime options — the event-driven runtime is deterministic,
   so one execution *is* the steady-state step latency;
 * every subsequent step at that geometry replays the memoized
   :class:`StepCost` — per-step compile and simulation cost is near

@@ -64,7 +64,7 @@ def fast_trace_event(
     """Construct a :class:`TraceEvent` without the frozen-init tax.
 
     A frozen dataclass assigns every field through
-    ``object.__setattr__``, which dominates when the vector engine
+    ``object.__setattr__``, which dominates when the fluid loop
     emits tens of thousands of events per second. This helper fills the
     instance ``__dict__`` directly — field for field identical to the
     generated ``__init__`` (same names, same order, same defaults), so

@@ -306,8 +306,9 @@ class TestGaudiByteIdentity:
         ] == [(op.label, op.engine, tuple(op.deps)) for op in default.ops]
         assert explicit.memory.peak_bytes == default.memory.peak_bytes
 
-        run_d = Runtime(GaudiDevice()).execute(default, reorder=reorder)
-        run_e = Runtime(GaudiDevice()).execute(explicit, reorder=reorder)
+        scheduler = "reorder" if reorder else "inorder"
+        run_d = Runtime(GaudiDevice()).execute(default, scheduler=scheduler)
+        run_e = Runtime(GaudiDevice()).execute(explicit, scheduler=scheduler)
         assert run_e.total_time_us == run_d.total_time_us
         assert event_tuples(run_e) == event_tuples(run_d)
 

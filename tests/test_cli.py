@@ -86,3 +86,23 @@ class TestMain:
     def test_decode_and_energy_commands(self, capsys):
         assert main(["decode"]) == 0
         assert main(["energy"]) == 0
+
+    def test_scheduler_flag_reaches_the_runtime(
+        self, capsys, restore_compiler_defaults
+    ):
+        def fig4_6(*flags):
+            code = main([*flags, "fig4-6"])
+            return code, capsys.readouterr().out
+
+        default = fig4_6()
+        assert default[0] == 0
+        assert fig4_6("--scheduler", "inorder") == default
+        code, lookahead = fig4_6("--scheduler", "lookahead")
+        assert lookahead != default[1]
+        # the lookahead Performer layer is A1's reordered run
+        assert "Figure 6 (Performer/FAVOR): total 64.04 ms" in lookahead
+        # in-order issue is what produces the paper's Fig 6 idle gaps
+        assert code == 1 and "[MISS] fig6" in lookahead
+        assert main(["--scheduler", "lookahead", "sweep", "--model",
+                     "layer:performer", "--policy", "default"]) == 0
+        assert "| default | 64.04 " in capsys.readouterr().out

@@ -136,7 +136,9 @@ class TestRuntimeDeviceConsistency:
     def test_busy_times_match(self, reorder):
         _, schedule = attention_schedule()
         device = GaudiDevice()
-        result = Runtime(device).execute(schedule, reorder=reorder)
+        result = Runtime(device).execute(
+            schedule, scheduler="reorder" if reorder else "inorder"
+        )
         for engine in (EngineKind.MME, EngineKind.TPC, EngineKind.DMA):
             trace_busy = result.timeline.busy_time_us(engine)
             device_busy = device.timeline(engine).busy_time()

@@ -34,6 +34,7 @@ from repro.synapse import (
     op_duration_us,
 )
 from repro.util.errors import ExecutionError
+from tests.fluid_reference import _fluid_execute
 
 BW = 1e12  # 1 TB/s for round numbers
 
@@ -288,16 +289,18 @@ class TestContendedRuntime:
                                           _record_overlap_heavy])
     @pytest.mark.parametrize("reorder", [False, True])
     def test_unshared_fluid_matches_legacy_replay(self, recorder, reorder):
-        """The fluid event machinery with sharing disabled reproduces
-        the closed-form timeline — the toggle's two paths agree."""
+        """The fluid event machinery (the scalar reference loop) with
+        sharing disabled reproduces the closed-form timeline — the
+        toggle's two memory models agree."""
         schedule = GraphCompiler().compile(recorder())
         legacy = Runtime(GaudiDevice()).execute(
-            schedule, reorder=reorder, hbm_contention=False
+            schedule, scheduler="reorder" if reorder else "inorder",
+            hbm_contention=False,
         )
-        rt = Runtime(GaudiDevice())
+        device = GaudiDevice()
         order = list(legacy.issue_order)
-        events, stall = rt._execute_contended(
-            schedule, order, rt.device.now, shared=False
+        events, stall = _fluid_execute(
+            [device], schedule, order, device.now, shared=False
         )
         assert stall == pytest.approx(0.0, abs=1e-6)
         got = sorted(_events_key(events))
@@ -311,10 +314,10 @@ class TestContendedRuntime:
     def test_contended_never_faster_with_reorder(self):
         schedule = GraphCompiler().compile(_record_overlap_heavy())
         on = Runtime(GaudiDevice()).execute(
-            schedule, reorder=True, hbm_contention=True
+            schedule, scheduler="reorder", hbm_contention=True
         )
         off = Runtime(GaudiDevice()).execute(
-            schedule, reorder=True, hbm_contention=False
+            schedule, scheduler="reorder", hbm_contention=False
         )
         assert on.total_time_us >= off.total_time_us * (1 - 1e-12)
 

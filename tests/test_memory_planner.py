@@ -339,8 +339,7 @@ class TestPlannerPolicies:
             ORACLE, memory_policy="spill",
             hbm_budget=activation_budget(oracle, 0.9),
         )).compile(rec.graph)
-        result = Runtime().execute(planned, reorder=True,
-                                   scheduler="lookahead")
+        result = Runtime().execute(planned, scheduler="lookahead")
         spill_events = [
             e for e in result.timeline.events if e.src == "spill"
         ]
@@ -366,8 +365,7 @@ class TestAcceptanceGptBatch32:
         stats = planned.stats["memory"]
         assert stats["spill_ops"] > 0 and stats["recompute_ops"] > 0
         assert lint_schedule(planned) == []
-        result = Runtime().execute(planned, reorder=True,
-                                   scheduler="lookahead")
+        result = Runtime().execute(planned, scheduler="lookahead")
         assert result.total_time_us > 0
 
 

@@ -345,9 +345,7 @@ def _reference_uncontended(system, schedule, scheduler):
         else op_duration_us(cards[0].cost_model, op)
         for op in schedule.ops
     ]
-    order = Runtime(cards[0])._plan_order(
-        schedule, durations, t0, reorder=False, scheduler=scheduler
-    )
+    order = Runtime(cards[0])._plan_order(schedule, durations, t0, scheduler)
     rows = []
     for c, card in enumerate(cards):
         finish = {}

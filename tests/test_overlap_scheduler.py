@@ -2,9 +2,9 @@
 
 The ``tpc_slicing`` pass must only fire when asked, must keep numerics
 byte-identical, and must leave a graph the ``slice-reassembly`` lint
-rule can certify. The runtime's explicit ``scheduler=`` policies must
-agree with the legacy ``reorder`` boolean, reject unknown names, and
-the lookahead planner must never lose to program order on the sliced
+rule can certify. The runtime's ``scheduler=`` policies must replay
+the planners they name, reject unknown names, and the lookahead
+planner must never lose to program order on the sliced
 attention block it exists to accelerate.
 """
 
@@ -22,6 +22,7 @@ from repro.synapse import (
     execute_schedule,
     lint_graph,
 )
+from repro.synapse.runtime import op_duration_us
 from repro.util.errors import ExecutionError
 
 #: slicing forced on regardless of the cost model's profitability bar
@@ -118,15 +119,18 @@ class TestSchedulerPolicies:
         compiler = GraphCompiler(options=options or CompilerOptions())
         return compiler.compile(graph)
 
-    def test_options_default_policy_is_lookahead(self):
-        assert CompilerOptions().scheduler == "lookahead"
+    def test_options_default_policy_is_inorder(self):
+        assert CompilerOptions().scheduler == "inorder"
 
     def test_explicit_reorder_matches_legacy_greedy(self):
-        schedule = self._schedule()
-        new = Runtime(GaudiDevice()).execute(schedule, scheduler="reorder")
-        old = Runtime(GaudiDevice()).execute(schedule, reorder=True)
-        assert list(new.issue_order) == list(old.issue_order)
-        assert new.total_time_us == pytest.approx(old.total_time_us)
+        schedule = self._schedule(SLICE_ON)
+        runtime = Runtime(GaudiDevice())
+        cost = runtime.device.cost_model
+        durations = [op_duration_us(cost, op) for op in schedule.ops]
+        greedy = runtime._plan_reorder(schedule, durations, 0.0)
+        new = runtime.execute(schedule, scheduler="reorder")
+        assert list(new.issue_order) == greedy
+        assert new.issue_order != [op.index for op in schedule.ops]
 
     def test_explicit_inorder_matches_legacy_default(self):
         schedule = self._schedule()

@@ -13,8 +13,9 @@ PR-8's tentpole contract, from the wire up:
   associative — only the identical plan replays byte-identically), and
   with ``boxes>1`` its analytic time is exactly the replayed step sum;
 * at the runtime layer, ``boxes=1`` populations trace byte-identically
-  to the flat HLS-1 runtime, and the scalar/vector fluid engines stay
-  bit-for-bit equal on multi-box populations (hypothesis properties).
+  to the flat HLS-1 runtime, and the fluid loop stays bit-for-bit
+  equal to the scalar reference loop on multi-box populations
+  (hypothesis properties).
 """
 
 import dataclasses
@@ -39,6 +40,7 @@ from repro.synapse import (
     default_compiler_options,
 )
 from repro.synapse.runtime import collective_plans
+from tests.fluid_reference import scalar_loop
 
 CFG = InterconnectConfig()
 GIB = float(1 << 30)
@@ -218,21 +220,21 @@ class TestRuntimeBoxesOne:
     def test_multi_box_engines_byte_identical(
         self, width, depth, batch, boxes, cards, bucket_mb
     ):
-        """Scalar and vector fluid engines agree on the two-tier fabric."""
+        """The fluid loop agrees with the scalar reference on the
+        two-tier fabric."""
         graph = record_step(width, depth, batch)
         schedule = compile_step(graph, bucket_mb)
-        results = {}
-        for engine in ("scalar", "vector"):
+
+        def run():
             system = HLS1Device(HLS1Config(num_cards=cards, boxes=boxes))
-            results[engine] = HLS1Runtime(system).execute(
-                schedule, engine=engine
-            )
-        assert (results["scalar"].timeline.events
-                == results["vector"].timeline.events)
-        assert (results["scalar"].total_time_us
-                == results["vector"].total_time_us)
-        assert (results["scalar"].fabric_busy_us
-                == results["vector"].fabric_busy_us)
+            return HLS1Runtime(system).execute(schedule)
+
+        with scalar_loop():
+            scalar = run()
+        vector = run()
+        assert scalar.timeline.events == vector.timeline.events
+        assert scalar.total_time_us == vector.total_time_us
+        assert scalar.fabric_busy_us == vector.fabric_busy_us
 
     @given(width_st, depth_st, batch_st, st.sampled_from([2, 4]), bucket_st)
     @settings(max_examples=10, deadline=None)

@@ -28,6 +28,7 @@ from repro.synapse import (
     execute_schedule,
     validate_no_engine_overlap,
 )
+from tests.fluid_reference import _fluid_execute
 
 # -- random-graph construction ---------------------------------------------------
 
@@ -108,7 +109,9 @@ class TestScheduleInvariants:
     def test_no_engine_overlap_either_mode(self, ops, dims, reorder):
         graph, _ = record_random(ops, dims)
         schedule = GraphCompiler().compile(graph)
-        result = Runtime(GaudiDevice()).execute(schedule, reorder=reorder)
+        result = Runtime(GaudiDevice()).execute(
+            schedule, scheduler="reorder" if reorder else "inorder"
+        )
         validate_no_engine_overlap(result.timeline)
 
     @given(program_strategy, dims_strategy)
@@ -118,7 +121,7 @@ class TestScheduleInvariants:
         schedule = GraphCompiler().compile(graph)
         t_in = Runtime(GaudiDevice()).execute(schedule).total_time_us
         t_re = Runtime(GaudiDevice()).execute(
-            schedule, reorder=True
+            schedule, scheduler="reorder"
         ).total_time_us
         assert t_re <= t_in * 1.001
 
@@ -150,11 +153,12 @@ class TestContentionInvariants:
         """Sharing bandwidth can stretch a schedule, never beat it."""
         graph, _ = record_random(ops, dims)
         schedule = GraphCompiler().compile(graph)
+        scheduler = "reorder" if reorder else "inorder"
         on = Runtime(GaudiDevice()).execute(
-            schedule, reorder=reorder, hbm_contention=True
+            schedule, scheduler=scheduler, hbm_contention=True
         )
         off = Runtime(GaudiDevice()).execute(
-            schedule, reorder=reorder, hbm_contention=False
+            schedule, scheduler=scheduler, hbm_contention=False
         )
         assert on.total_time_us >= off.total_time_us * (1 - 1e-9) - 1e-6
         assert on.contention_stall_us >= 0.0
@@ -162,17 +166,19 @@ class TestContentionInvariants:
     @given(program_strategy, dims_strategy)
     @settings(max_examples=15, deadline=None)
     def test_unshared_fluid_reproduces_replay(self, ops, dims):
-        """The fluid event loop with sharing off agrees with the
-        closed-form replay on every random graph (same events, ulp-level
-        timing agreement) — the two memory models share one truth."""
+        """The fluid event loop (the scalar reference) with sharing off
+        agrees with the closed-form replay on every random graph (same
+        events, ulp-level timing agreement) — the two memory models
+        share one truth."""
         graph, _ = record_random(ops, dims)
         schedule = GraphCompiler().compile(graph)
         legacy = Runtime(GaudiDevice()).execute(
             schedule, hbm_contention=False
         )
-        rt = Runtime(GaudiDevice())
-        events, stall = rt._execute_contended(
-            schedule, list(legacy.issue_order), rt.device.now, shared=False
+        device = GaudiDevice()
+        events, stall = _fluid_execute(
+            [device], schedule, list(legacy.issue_order), device.now,
+            shared=False,
         )
         assert stall == pytest.approx(0.0, abs=1e-6)
         got = sorted(
@@ -261,21 +267,21 @@ class TestSchedulerPolicyInvariants:
 
     @given(program_strategy, dims_strategy)
     @settings(max_examples=15, deadline=None)
-    def test_explicit_policies_match_legacy_bools(self, ops, dims):
-        """``scheduler=`` names reproduce the legacy ``reorder`` bool."""
+    def test_option_policy_runs_as_named(self, ops, dims):
+        """``CompilerOptions.scheduler`` reaches the runtime intact:
+        its :meth:`runtime_kwargs` execute the named policy."""
         graph, _ = record_random(ops, dims)
         schedule = GraphCompiler().compile(graph)
-        for policy, legacy in (("inorder", False), ("reorder", True)):
+        for policy in ("inorder", "reorder", "lookahead"):
             named = Runtime(GaudiDevice()).execute(
                 schedule, scheduler=policy
             )
-            boolean = Runtime(GaudiDevice()).execute(
-                schedule, reorder=legacy
+            options = CompilerOptions(scheduler=policy)
+            via_options = Runtime(GaudiDevice()).execute(
+                schedule, **options.runtime_kwargs()
             )
-            assert list(named.issue_order) == list(boolean.issue_order)
-            assert named.total_time_us == pytest.approx(
-                boolean.total_time_us
-            )
+            assert named.issue_order == via_options.issue_order
+            assert named.total_time_us == via_options.total_time_us
 
     @given(program_strategy, dims_strategy)
     @settings(max_examples=20, deadline=None)

@@ -1,58 +1,23 @@
-"""Property-based tests: the vector fluid engine is bit-for-bit the scalar one.
+"""Property-based tests: the fluid loop is bit-for-bit the scalar one.
 
-The vectorized event loop (``engine="vector"``) is a pure performance
-refactor: it must walk the identical global epoch sequence and perform
-the identical per-element IEEE-754 arithmetic as the scalar reference
-loop, differing only in wall-clock cost. These properties pin that
-contract over random training steps, card populations, bucket sizes,
-and both contention modes:
-
-* ``ExecutionResult``s from both engines carry *equal* ``TraceEvent``
-  lists (dataclass ``==`` — every field, every event, in order) and
-  equal aggregate floats (no tolerance);
-* the same holds end-to-end through the profiler layer, where
-  ``CompilerOptions.sim_engine`` selects the engine: ``ProfileResult``
-  timelines and derived aggregates match exactly.
+The runtime's vectorized event loop is a pure performance rewrite of
+the scalar reference loop in :mod:`tests.fluid_reference`: it must
+walk the identical global epoch sequence and perform the identical
+per-element IEEE-754 arithmetic, differing only in wall-clock cost.
+These properties pin that contract over random training steps, card
+populations, bucket sizes, and both contention modes: executes with
+the reference swapped in (:func:`~tests.fluid_reference.scalar_loop`)
+carry *equal* ``TraceEvent`` lists (dataclass ``==`` — every field,
+every event, in order) and equal aggregate floats (no tolerance).
 """
-
-import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from repro import ht
-from repro.ht import functional as F
-from repro.hw.config import GaudiConfig, HLS1Config
-from repro.hw.costmodel import EngineKind
+from repro.hw.config import HLS1Config
 from repro.hw.device import GaudiDevice, HLS1Device
-from repro.synapse import (
-    GraphCompiler,
-    HLS1Runtime,
-    Runtime,
-    default_compiler_options,
-)
-from repro.synapse.profiler import HLS1Profiler, SynapseProfiler
-
-
-def record_step(width, depth, batch):
-    lins = [ht.Linear(width, width, materialize=False) for _ in range(depth)]
-    with ht.record("engine-prop", mode="symbolic") as rec:
-        h = ht.input_tensor((batch, width), name="x")
-        for lin in lins:
-            h = F.relu(lin(h))
-        loss = F.mean(h)
-        loss.backward()
-        params = [p for lin in lins for p in lin.parameters()]
-        ht.SGD(params, lr=0.01).step()
-    return rec.graph
-
-
-def compile_step(graph, bucket_mb, *, collectives=True):
-    options = dataclasses.replace(
-        default_compiler_options(),
-        inject_collectives=collectives,
-        bucket_mb=bucket_mb,
-    )
-    return GraphCompiler(options=options).compile(graph)
+from repro.synapse import GraphCompiler, HLS1Runtime, Runtime
+from tests.fluid_reference import scalar_loop
+from tests.test_parallel_fabric import compile_step, record_step
 
 
 def assert_results_identical(r_scalar, r_vector):
@@ -72,82 +37,41 @@ batch_st = st.integers(2, 6)
 cards_st = st.sampled_from([1, 2, 4, 8])
 bucket_st = st.sampled_from([0.001, 0.01, 25.0])
 contention_st = st.booleans()
+scheduler_st = st.sampled_from(["inorder", "reorder", "lookahead"])
 
 
 class TestEngineEquivalenceProperties:
-    @given(width_st, depth_st, batch_st, cards_st, bucket_st, contention_st)
+    @given(width_st, depth_st, batch_st, cards_st, bucket_st, contention_st,
+           scheduler_st)
     @settings(max_examples=20, deadline=None)
     def test_hls1_trace_streams_byte_identical(
-        self, width, depth, batch, cards, bucket_mb, contention
+        self, width, depth, batch, cards, bucket_mb, contention, scheduler
     ):
         graph = record_step(width, depth, batch)
         schedule = compile_step(graph, bucket_mb)
-        results = {}
-        for engine in ("scalar", "vector"):
-            system = HLS1Device(HLS1Config(num_cards=cards))
-            results[engine] = HLS1Runtime(system).execute(
-                schedule, hbm_contention=contention, engine=engine
-            )
-        assert_results_identical(results["scalar"], results["vector"])
 
-    @given(width_st, depth_st, batch_st, bucket_st, contention_st)
+        def run():
+            system = HLS1Device(HLS1Config(num_cards=cards))
+            return HLS1Runtime(system).execute(
+                schedule, scheduler=scheduler, hbm_contention=contention
+            )
+
+        with scalar_loop():
+            scalar = run()
+        assert_results_identical(scalar, run())
+
+    @given(width_st, depth_st, batch_st, contention_st, scheduler_st)
     @settings(max_examples=20, deadline=None)
     def test_single_card_trace_streams_byte_identical(
-        self, width, depth, batch, bucket_mb, contention
+        self, width, depth, batch, contention, scheduler
     ):
-        graph = record_step(width, depth, batch)
-        schedule = compile_step(graph, bucket_mb, collectives=False)
-        results = {}
-        for engine in ("scalar", "vector"):
-            results[engine] = Runtime(GaudiDevice()).execute(
-                schedule, hbm_contention=contention, engine=engine
-            )
-        assert_results_identical(results["scalar"], results["vector"])
+        schedule = GraphCompiler().compile(record_step(width, depth, batch))
 
-    @given(width_st, depth_st, batch_st, cards_st, bucket_st, contention_st)
-    @settings(max_examples=10, deadline=None)
-    def test_profile_result_aggregates_identical(
-        self, width, depth, batch, cards, bucket_mb, contention
-    ):
-        graph = record_step(width, depth, batch)
-        profiles = {}
-        for engine in ("scalar", "vector"):
-            options = dataclasses.replace(
-                default_compiler_options(),
-                bucket_mb=bucket_mb,
-                hbm_contention=contention,
-                sim_engine=engine,
-            )
-            profiler = HLS1Profiler(
-                HLS1Config(num_cards=cards), options
-            )
-            profiles[engine] = profiler.profile(graph)
-        ps, pv = profiles["scalar"], profiles["vector"]
-        assert ps.timeline.events == pv.timeline.events
-        assert ps.total_time_us == pv.total_time_us
-        assert ps.exposed_comm_us == pv.exposed_comm_us
-        assert ps.fabric_busy_us == pv.fabric_busy_us
-        for engine_kind in (EngineKind.MME, EngineKind.TPC, EngineKind.DMA):
-            assert ps.utilization(engine_kind) == pv.utilization(engine_kind)
-            assert ps.idle_fraction(engine_kind) == pv.idle_fraction(
-                engine_kind
+        def run():
+            return Runtime(GaudiDevice()).execute(
+                schedule, scheduler=scheduler, hbm_contention=contention
             )
 
-    @given(width_st, depth_st, batch_st, contention_st)
-    @settings(max_examples=10, deadline=None)
-    def test_single_card_profiler_aggregates_identical(
-        self, width, depth, batch, contention
-    ):
-        graph = record_step(width, depth, batch)
-        profiles = {}
-        for engine in ("scalar", "vector"):
-            options = dataclasses.replace(
-                default_compiler_options(),
-                hbm_contention=contention,
-                sim_engine=engine,
-            )
-            profiler = SynapseProfiler(GaudiConfig(), options)
-            profiles[engine] = profiler.profile(graph)
-        ps, pv = profiles["scalar"], profiles["vector"]
-        assert ps.timeline.events == pv.timeline.events
-        assert ps.total_time_us == pv.total_time_us
+        with scalar_loop():
+            scalar = run()
+        assert_results_identical(scalar, run())

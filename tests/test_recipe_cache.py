@@ -72,7 +72,7 @@ class TestRecipeKey:
         config = GaudiConfig()
         base = recipe_key(graph, config, CompilerOptions())
         assert base == recipe_key(graph, config,
-                                  CompilerOptions(reorder=True))
+                                  CompilerOptions(scheduler="lookahead"))
         assert base == recipe_key(graph, config,
                                   CompilerOptions(use_recipe_cache=False))
 
@@ -256,8 +256,8 @@ class TestDiskPersistence:
 
         _, first = self._compile(RecipeCache(save_dir=tmp_path))
         _, second = self._compile(RecipeCache(save_dir=tmp_path))
-        a = Runtime(GaudiDevice()).execute(first, reorder=True)
-        b = Runtime(GaudiDevice()).execute(second, reorder=True)
+        a = Runtime(GaudiDevice()).execute(first, scheduler="reorder")
+        b = Runtime(GaudiDevice()).execute(second, scheduler="reorder")
         assert a.total_time_us == b.total_time_us
         assert len(a.timeline.events) == len(b.timeline.events)
 

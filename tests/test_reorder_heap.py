@@ -14,11 +14,58 @@ from repro.ht import functional as F
 from repro.hw.device import GaudiDevice
 from repro.synapse import GraphCompiler, Runtime
 from repro.synapse.runtime import op_duration_us
+from repro.util.errors import ExecutionError
 from tests.test_property_compiler_runtime import (
     dims_strategy,
     program_strategy,
     record_random,
 )
+
+
+def _plan_reorder_scan(
+    runtime: Runtime, schedule, durations: list[float], t0: float
+) -> list[int]:
+    """Reference O(n²) planner (the pre-heap implementation).
+
+    Scans the whole ready set at every issue decision for the minimum
+    ``(earliest start, index)`` key; the heap planner must reproduce
+    its selection byte for byte.
+    """
+    n = len(schedule.ops)
+    consumers_of, blocked_by = runtime._dep_graph(schedule)
+    free = {
+        op.engine: runtime.device.timeline(op.engine).free_at
+        for op in schedule.ops
+    }
+    finish: dict[int, float] = {}
+    ready_time = {i: t0 for i in range(n) if blocked_by[i] == 0}
+    order: list[int] = []
+    while len(order) < n:
+        best: tuple[float, int] | None = None
+        for idx, r in ready_time.items():
+            op = schedule.ops[idx]
+            key = (max(r, free[op.engine]), idx)
+            if best is None or key < best:
+                best = key
+        if best is None:
+            raise ExecutionError(
+                "deadlock: no ready ops but schedule incomplete "
+                "(cyclic dependencies?)"
+            )
+        _, idx = best
+        op = schedule.ops[idx]
+        start = max(ready_time.pop(idx), free[op.engine])
+        finish[idx] = start + durations[idx]
+        free[op.engine] = finish[idx]
+        order.append(idx)
+        for consumer in consumers_of[idx]:
+            blocked_by[consumer] -= 1
+            if blocked_by[consumer] == 0:
+                ready_time[consumer] = max(
+                    (finish[d] for d in schedule.ops[consumer].deps),
+                    default=t0,
+                )
+    return order
 
 
 def _plan_both(schedule):
@@ -28,7 +75,7 @@ def _plan_both(schedule):
     ]
     t0 = runtime.device.now
     heap = runtime._plan_reorder(schedule, durations, t0)
-    scan = runtime._plan_reorder_scan(schedule, durations, t0)
+    scan = _plan_reorder_scan(runtime, schedule, durations, t0)
     return heap, scan
 
 
@@ -67,11 +114,11 @@ class TestHeapMatchesScan:
             for op in schedule.ops
         ]
         t0 = runtime.device.now
-        scan_order = runtime._plan_reorder_scan(schedule, durations, t0)
+        scan_order = _plan_reorder_scan(runtime, schedule, durations, t0)
         ref = Runtime(GaudiDevice())
         want = ref._replay(schedule, scan_order, durations, t0)
         got = Runtime(GaudiDevice()).execute(
-            schedule, reorder=True, hbm_contention=False
+            schedule, scheduler="reorder", hbm_contention=False
         ).timeline.events
         assert [
             (ev.name, ev.engine, ev.start_us, ev.dur_us) for ev in got

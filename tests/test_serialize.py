@@ -142,8 +142,8 @@ class TestScheduleRoundTrip:
         env = execute_schedule(back, arrays)
         out = env[back.graph.nodes[-1].output]
         np.testing.assert_array_equal(out, eager)
-        a = Runtime(GaudiDevice()).execute(schedule, reorder=True)
-        b = Runtime(GaudiDevice()).execute(back, reorder=True)
+        a = Runtime(GaudiDevice()).execute(schedule, scheduler="reorder")
+        b = Runtime(GaudiDevice()).execute(back, scheduler="reorder")
         assert a.total_time_us == b.total_time_us
 
     def test_sliced_schedule_round_trips(self):

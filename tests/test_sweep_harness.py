@@ -191,9 +191,8 @@ class TestProfileExecutor:
         spec = small_spec(
             executor="profile",
             policies=(
-                ("in-order", (("reorder", False),)),
-                ("lookahead",
-                 (("reorder", True), ("scheduler", "lookahead"))),
+                ("in-order", (("scheduler", "inorder"),)),
+                ("lookahead", (("scheduler", "lookahead"),)),
             ),
         )
         result = run_sweep(spec)

@@ -201,7 +201,7 @@ class TestRuntime:
 
     def test_reorder_no_engine_overlap(self):
         schedule = GraphCompiler().compile(attention_graph())
-        result = Runtime(GaudiDevice()).execute(schedule, reorder=True)
+        result = Runtime(GaudiDevice()).execute(schedule, scheduler="reorder")
         validate_no_engine_overlap(result.timeline)
 
     def test_dependencies_respected(self):
@@ -217,7 +217,7 @@ class TestRuntime:
         schedule = GraphCompiler().compile(attention_graph())
         t_inorder = Runtime(GaudiDevice()).execute(schedule).total_time_us
         t_reorder = Runtime(GaudiDevice()).execute(
-            schedule, reorder=True
+            schedule, scheduler="reorder"
         ).total_time_us
         assert t_reorder <= t_inorder * 1.001
 
