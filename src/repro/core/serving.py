@@ -38,7 +38,6 @@ time-to-first-token at equal-or-better throughput.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import tempfile
@@ -83,6 +82,12 @@ class ServingWorkload:
     prompt_range: tuple[int, int] = (16, 256)
     output_range: tuple[int, int] = (8, 96)
 
+    def __post_init__(self):
+        for name in ("prompt_range", "output_range"):
+            lo, hi = getattr(self, name)
+            if not 1 <= lo <= hi:
+                raise DataError(f"{name} needs 1 <= lo <= hi, got {lo, hi}")
+
     def describe(self) -> dict:
         """JSON-ready identity of the workload distributions."""
         return {
@@ -96,7 +101,7 @@ class ServingWorkload:
 DEFAULT_WORKLOAD = ServingWorkload()
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """One serving request and its lifecycle timestamps (us)."""
 
@@ -254,6 +259,13 @@ class ServingSimulator:
         self.kv_per_token = kv_bytes_per_token(self.config)
         self.max_context = max_decode_context(self.config)
         self._tag = _config_tag(self.config)
+        # (kind, batch bucket, size bucket) -> (step-cost key, factory),
+        # and -> the runtime's feasibility verdict: fixed for a runtime
+        # but not monotone in batch or context, so each geometry is asked
+        self._geometries: dict[tuple, tuple] = {}
+        self._verdicts: dict[tuple, bool] = {}
+        # (prompt bucket, reserved context) -> _viable
+        self._viability: dict[tuple, bool] = {}
         # per-run trackers (reset by run())
         self._reset_stats()
 
@@ -283,65 +295,64 @@ class ServingSimulator:
     def _geometry(self, kind: str, batch: int, size: int):
         """Step-cost key and graph factory of a ``"decode"`` (``size`` =
         context bucket) or ``"prefill"`` (prompt bucket) step."""
-        if kind == "decode":
-            rec = partial(record_decode_step, self.config, batch=batch,
-                          context_len=size)
-        else:
-            rec = partial(_record_prefill, self.config, batch, size)
-        return (self._tag, kind, batch, size), lambda: rec().graph
+        hit = self._geometries.get((kind, batch, size))
+        if hit is None:
+            if kind == "decode":
+                rec = partial(record_decode_step, self.config, batch=batch,
+                              context_len=size)
+            else:
+                rec = partial(_record_prefill, self.config, batch, size)
+            hit = (self._tag, kind, batch, size), lambda: rec().graph
+            self._geometries[kind, batch, size] = hit
+        return hit
 
     def _cost(self, kind: str, batch: int, size: int):
         return self.runtime.step_cost(*self._geometry(kind, batch, size))
 
     def _feasible(self, kind: str, batch: int, size: int) -> bool:
-        return self.runtime.feasible(*self._geometry(kind, batch, size))
+        ok = self._verdicts.get((kind, batch, size))
+        if ok is None:
+            ok = self.runtime.feasible(*self._geometry(kind, batch, size))
+            self._verdicts[kind, batch, size] = ok
+        return ok
 
     # -- admission ----------------------------------------------------------
 
     def _viable(self, req: Request, reserved_ctx: int) -> bool:
-        """Whether the request could ever be served alone."""
+        """Whether the request could ever be served alone: it passes the
+        admission test against an empty batch, so a viable head can
+        never be refused forever."""
         if req.prompt_len > self.config.max_seq_len:
             return False
-        reserved = self.kv_per_token * reserved_ctx
-        if self.weight_bytes + reserved > self.budget_bytes:
-            return False
         sb = self._prompt_bucket(req.prompt_len)
-        if not self._feasible("prefill", 1, sb):
-            return False
-        if req.output_len > 1 and req.prompt_len < self.config.max_seq_len:
-            ctx = min(reserved_ctx, self.max_context)
-            return self._feasible("decode", 1, ctx)
-        return True
-
-    def _group_fits(
-        self, members: list[Request], prefill_group: list[Request]
-    ) -> bool:
-        """Admission test: reservations + planner verdicts for the
-        would-be in-flight set — a function of its membership alone."""
-        reserved = sum(r.reserved_kv_bytes for r in members)
-        if self.weight_bytes + reserved > self.budget_bytes:
-            return False
-        bb = _bucket_batch(len(members))
-        worst_ctx = min(
-            max(r.reserved_kv_bytes for r in members) // self.kv_per_token,
-            self.max_context,
-        )
-        if not self._feasible("decode", bb, worst_ctx):
-            return False
-        pb = _bucket_batch(len(prefill_group))
-        sb = self._prompt_bucket(max(r.prompt_len for r in prefill_group))
-        return self._feasible("prefill", pb, sb)
+        ok = self._viability.get((sb, reserved_ctx))
+        if ok is None:
+            ok = self._viability[sb, reserved_ctx] = (
+                self.weight_bytes + self.kv_per_token * reserved_ctx
+                <= self.budget_bytes
+                and self._feasible("prefill", 1, sb)
+                and self._feasible(
+                    "decode", 1, min(reserved_ctx, self.max_context))
+            )
+        return ok
 
     def _admit(
         self, queue: "deque[Request]", in_flight: list[Request], t: float
     ) -> list[Request]:
-        """Pop FCFS joiners that fit alongside ``in_flight`` at ``t``."""
+        """Pop FCFS joiners that fit alongside ``in_flight`` at ``t``:
+        the would-be in-flight set's reservations must fit beside the
+        weights, and its worst-case decode geometry and the joiners'
+        grouped prefill must be feasible."""
         joiners: list[Request] = []
-        while (
-            queue
-            and queue[0].arrival_us <= t
-            and len(in_flight) + len(joiners) < self.max_batch
-        ):
+        room = self.max_batch - len(in_flight)
+        if not queue or queue[0].arrival_us > t or room <= 0:
+            return joiners
+        kv = self.kv_per_token
+        free = self.budget_bytes - self.weight_bytes
+        reserved = sum(r.reserved_kv_bytes for r in in_flight)
+        worst = max((r.reserved_kv_bytes for r in in_flight), default=0) // kv
+        longest = 0
+        while queue and queue[0].arrival_us <= t and len(joiners) < room:
             cand = queue[0]
             reserved_ctx = self._reserved_ctx(cand)
             if not self._viable(cand, reserved_ctx):
@@ -349,12 +360,24 @@ class ServingSimulator:
                 cand.finish_reason = "rejected"
                 cand.finish_us = t
                 continue
-            cand.reserved_kv_bytes = self.kv_per_token * reserved_ctx
-            if not self._group_fits(
-                in_flight + joiners + [cand], joiners + [cand]
+            cand_bytes = kv * reserved_ctx
+            worst_ctx = max(worst, reserved_ctx)
+            prompt = max(longest, cand.prompt_len)
+            if not (
+                reserved + cand_bytes <= free
+                and self._feasible(
+                    "decode", _bucket_batch(len(in_flight) + len(joiners) + 1),
+                    min(worst_ctx, self.max_context),
+                )
+                and self._feasible(
+                    "prefill", _bucket_batch(len(joiners) + 1),
+                    self._prompt_bucket(prompt),
+                )
             ):
-                cand.reserved_kv_bytes = 0
                 break
+            cand.reserved_kv_bytes = cand_bytes
+            reserved += cand_bytes
+            worst, longest = worst_ctx, prompt
             joiners.append(queue.popleft())
         return joiners
 
@@ -385,16 +408,27 @@ class ServingSimulator:
     def _advance(
         self, batch: list[Request], t: float, batch_bucket: int,
         until: float,
-    ) -> float:
+    ) -> tuple[float, list[Request]]:
         """Decode ``batch`` through one constant-geometry segment.
 
         One step-cost lookup prices every step up to the next event: a
         member completing or reaching the cache boundary, the largest
         context leaving its bucket, or the first step ending at or after
         ``until``. Time advances one addition per step, so timestamps
-        match a step-by-step loop bit for bit. Returns the end time.
+        match a step-by-step loop bit for bit. Returns the end time and
+        the members still decoding.
         """
-        ctx = max(r.context_len for r in batch)
+        ctx = resident = reserved = 0
+        to_complete = math.inf
+        for r in batch:
+            c = r.context_len
+            resident += c
+            reserved += r.reserved_kv_bytes
+            if c > ctx:
+                ctx = c
+            left = r.output_len - r.generated
+            if left < to_complete:
+                to_complete = left
         ctx_bucket = self._ctx_bucket(ctx)
         try:
             dt = self._cost("decode", batch_bucket, ctx_bucket).time_us
@@ -405,26 +439,29 @@ class ServingSimulator:
             ) from err
         # the largest context leaves its bucket — or, in the last bucket,
         # passes the cap and truncates — or the first member completes
-        to_complete = min(r.output_len - r.generated for r in batch)
         steps = min(ctx_bucket - ctx + 1, to_complete)
-        for n in range(1, steps + 1):
-            t += dt
-            if t >= until:
-                break
+        if until == math.inf:
+            for _ in range(steps):
+                t += dt
+            n = steps
+        else:
+            for n in range(1, steps + 1):
+                t += dt
+                if t >= until:
+                    break
         size = len(batch)
         self.decode_steps += n
         self.decode_slot_tokens += n * size
         # residency only grows within a segment: its peak is the
         # context before the last step
-        self.peak_in_flight = max(self.peak_in_flight, size)
-        self.peak_kv_reserved_bytes = max(
-            self.peak_kv_reserved_bytes,
-            sum(r.reserved_kv_bytes for r in batch),
-        )
-        actual = sum(r.context_len for r in batch) + (n - 1) * size
-        self.peak_kv_actual_bytes = max(
-            self.peak_kv_actual_bytes, self.kv_per_token * actual
-        )
+        if size > self.peak_in_flight:
+            self.peak_in_flight = size
+        if reserved > self.peak_kv_reserved_bytes:
+            self.peak_kv_reserved_bytes = reserved
+        actual = self.kv_per_token * (resident + (n - 1) * size)
+        if actual > self.peak_kv_actual_bytes:
+            self.peak_kv_actual_bytes = actual
+        live = []
         for r in batch:
             r.generated += n
             if r.generated >= r.output_len:
@@ -436,19 +473,23 @@ class ServingSimulator:
                 r.finish_us = t
             else:
                 r.context_len += n
-        return t
+                live.append(r)
+        return t, live
 
     # -- policies -----------------------------------------------------------
 
     def run(self, requests: list[Request], policy: str) -> "ServingResult":
-        """Serve ``requests`` (arrival order) under ``policy``."""
+        """Serve fresh copies of ``requests`` (arrival order) under
+        ``policy``; the inputs are never mutated."""
         if policy not in SERVING_POLICIES:
             raise ConfigError(
                 f"unknown serving policy {policy!r} "
                 f"(choices: {', '.join(SERVING_POLICIES)})"
             )
         self._reset_stats()
-        work = [dataclasses.replace(r) for r in requests]
+        # fresh copies: callers serve one trace under both policies
+        work = [Request(r.rid, r.arrival_us, r.prompt_len, r.output_len)
+                for r in requests]
         queue = deque(work)
         if policy == "continuous":
             makespan = self._run_continuous(queue)
@@ -471,7 +512,7 @@ class ServingSimulator:
     def _run_continuous(self, queue: "deque[Request]") -> float:
         batch: list[Request] = []
         t = 0.0
-        # an arrived head held back (no free slot, or _group_fits refused
+        # an arrived head held back (no free slot, or admission refused
         # it) stays held until a member leaves: both verdicts depend only
         # on the membership and the head
         held = False
@@ -490,8 +531,7 @@ class ServingSimulator:
             until = math.inf
             if queue and not held and size < self.max_batch:
                 until = queue[0].arrival_us
-            t = self._advance(batch, t, _bucket_batch(size), until)
-            batch = [r for r in batch if r.finish_us is None]
+            t, batch = self._advance(batch, t, _bucket_batch(size), until)
             held = held and len(batch) == size
         return t
 
@@ -509,8 +549,7 @@ class ServingSimulator:
             # free no slot and nobody joins until the batch drains
             bucket = _bucket_batch(len(group))
             while batch:
-                t = self._advance(batch, t, bucket, math.inf)
-                batch = [r for r in batch if r.finish_us is None]
+                t, batch = self._advance(batch, t, bucket, math.inf)
         return t
 
 

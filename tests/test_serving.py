@@ -16,7 +16,9 @@ The properties the PR claims, executed:
 * the simulated results are pinned: golden SHA-256 digests cover the
   metrics and every request's lifecycle on the A15, benchmark and
   length-cap traces, and a step-by-step reference loop (below) must
-  reproduce the simulator on random geometries, budgets and traces.
+  reproduce the simulator on random geometries, budgets and traces;
+  the reference admits through its own probe-per-request oracle, also
+  against a stub runtime whose verdicts are deliberately non-monotone.
 """
 
 import dataclasses
@@ -267,11 +269,26 @@ class TestServingRuntime:
             runtime, model_config=SMALL, max_batch=4, ctx_quantum=64
         )
         before = runtime.lookups
-        result = sim.run(
-            generate_requests(40, 20.0, workload=SMALL_WORKLOAD),
-            "continuous",
-        )
+        trace = generate_requests(40, 20.0, workload=SMALL_WORKLOAD)
+        result = sim.run(trace, "continuous")
         assert runtime.lookups - before < result.decode_steps
+        # admission reads the simulator's verdict tables: a warm rerun
+        # never asks the runtime for a verdict and measures nothing new
+        asked = []
+
+        def feasible(key, graph_factory):
+            asked.append(key)
+            return ServingRuntime.feasible(runtime, key, graph_factory)
+
+        runtime.feasible = feasible
+        counters = (runtime.measured, runtime.infeasible)
+        again = sim.run(trace, "continuous")
+        assert asked == []
+        assert (runtime.measured, runtime.infeasible) == counters
+        assert _serving_digest(again) == _serving_digest(result)
+        # each run serves fresh copies: served records replay as a trace
+        replay = sim.run(result.records, "continuous")
+        assert _serving_digest(replay) == _serving_digest(result)
 
     def test_infeasible_geometry_memoized(self):
         runtime = ServingRuntime(hbm_budget=1 << 20)  # 1 MiB: nothing fits
@@ -329,6 +346,19 @@ class TestServingValidation:
         with pytest.raises(DataError, match="arrival_rate"):
             generate_requests(5, 0.0)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("prompt_range", (300, 100)),
+        ("prompt_range", (0, 4)),
+        ("output_range", (0, 3)),
+        ("output_range", (-2, -1)),
+    ])
+    def test_bad_workload_ranges(self, field, bad):
+        with pytest.raises(DataError, match=field):
+            ServingWorkload(**{field: bad})
+
+    def test_single_token_ranges_are_legal(self):
+        ServingWorkload(prompt_range=(1, 1), output_range=(1, 1))
+
     def test_unknown_policy(self, simulator):
         trace = generate_requests(2, 10.0, workload=SMALL_WORKLOAD)
         with pytest.raises(Exception, match="unknown serving policy"):
@@ -349,9 +379,79 @@ def _serving_digest(result) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+# -- the admission oracle: one runtime probe per verdict, no tables ----------
+
+
+def _feasible(sim, kind: str, batch: int, size: int) -> bool:
+    return sim.runtime.feasible(*sim._geometry(kind, batch, size))
+
+
+def _viable(sim, req, reserved_ctx: int) -> bool:
+    """Whether the request could ever be served alone.
+
+    The decode probe applies even to a request that never decodes:
+    ``_group_fits`` asks it of a lone joiner, so skipping it here would
+    let a head refused alone stall the loop.
+    """
+    if req.prompt_len > sim.config.max_seq_len:
+        return False
+    reserved = sim.kv_per_token * reserved_ctx
+    if sim.weight_bytes + reserved > sim.budget_bytes:
+        return False
+    sb = sim._prompt_bucket(req.prompt_len)
+    if not _feasible(sim, "prefill", 1, sb):
+        return False
+    ctx = min(reserved_ctx, sim.max_context)
+    return _feasible(sim, "decode", 1, ctx)
+
+
+def _group_fits(sim, members, prefill_group) -> bool:
+    """Admission test: reservations + planner verdicts for the
+    would-be in-flight set — a function of its membership alone."""
+    reserved = sum(r.reserved_kv_bytes for r in members)
+    if sim.weight_bytes + reserved > sim.budget_bytes:
+        return False
+    bb = _bucket_batch(len(members))
+    worst_ctx = min(
+        max(r.reserved_kv_bytes for r in members) // sim.kv_per_token,
+        sim.max_context,
+    )
+    if not _feasible(sim, "decode", bb, worst_ctx):
+        return False
+    pb = _bucket_batch(len(prefill_group))
+    sb = sim._prompt_bucket(max(r.prompt_len for r in prefill_group))
+    return _feasible(sim, "prefill", pb, sb)
+
+
+def _admit(sim, queue, in_flight, t):
+    """Pop FCFS joiners that fit alongside ``in_flight`` at ``t``."""
+    joiners = []
+    while (
+        queue
+        and queue[0].arrival_us <= t
+        and len(in_flight) + len(joiners) < sim.max_batch
+    ):
+        cand = queue[0]
+        reserved_ctx = sim._reserved_ctx(cand)
+        if not _viable(sim, cand, reserved_ctx):
+            queue.popleft()
+            cand.finish_reason = "rejected"
+            cand.finish_us = t
+            continue
+        cand.reserved_kv_bytes = sim.kv_per_token * reserved_ctx
+        if not _group_fits(
+            sim, in_flight + joiners + [cand], joiners + [cand]
+        ):
+            cand.reserved_kv_bytes = 0
+            break
+        joiners.append(queue.popleft())
+    return joiners
+
+
 def _step_reference(sim, requests, policy) -> ServingResult:
-    """The serving loop one decode step at a time: the oracle the
-    simulator's segment advance must reproduce exactly."""
+    """The serving loop one decode step at a time, admitting through
+    the probe-per-request oracle above: the reference the simulator's
+    verdict tables and segment advance must reproduce exactly."""
     sim._reset_stats()
     work = [dataclasses.replace(r) for r in requests]
     queue, batch, t, bucket = deque(work), [], 0.0, 1
@@ -361,7 +461,7 @@ def _step_reference(sim, requests, policy) -> ServingResult:
             t = queue[0].arrival_us
         joiners = []
         if policy == "continuous" or not batch:
-            joiners = sim._admit(queue, batch, t)
+            joiners = _admit(sim, queue, batch, t)
         if joiners:
             t = sim._prefill(joiners, t)
             batch += [r for r in joiners if r.finish_us is None]
@@ -540,3 +640,77 @@ class TestServingGoldens:
         fast = sim.run(trace, policy)
         slow = _step_reference(sim, trace, policy)
         assert _serving_digest(fast) == _serving_digest(slow)
+
+
+class _NonMonotoneRuntime(ServingRuntime):
+    """Verdicts no monotone rule predicts: decode refused at batch 2 for
+    short contexts yet accepted at batch 4, a lone decode refused in the
+    last context bucket yet accepted in a pair, and a lone prefill
+    refused at prompt bucket 128 yet accepted at 192. Its budget binds
+    only the simulator's reservation arithmetic: the planner never
+    enforces it."""
+
+    hbm_budget = _kv_budget(SMALL, 384)
+
+    def feasible(self, key, graph_factory):
+        _, kind, batch, size = key
+        if (kind, batch) == ("decode", 2) and size <= 128:
+            return False
+        if (kind, batch, size) in (
+            ("decode", 1, max_decode_context(SMALL)), ("prefill", 1, 128),
+        ):
+            return False
+        return super().feasible(key, graph_factory)
+
+
+class TestNonMonotoneVerdicts:
+    @pytest.fixture(scope="class")
+    def stub(self):
+        return _NonMonotoneRuntime()
+
+    def _sim(self, stub):
+        return ServingSimulator(
+            stub, model_config=SMALL, max_batch=4, ctx_quantum=64
+        )
+
+    def _trace(self, seed):
+        return generate_requests(
+            60, 300.0, seed=seed,
+            workload=ServingWorkload(
+                prompt_range=(4, 200), output_range=(1, 40)
+            ),
+        )
+
+    @pytest.mark.parametrize("policy", ["static", "continuous"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_admission_oracle(self, stub, policy, seed):
+        sim = self._sim(stub)
+        fast = sim.run(self._trace(seed), policy)
+        slow = _step_reference(sim, self._trace(seed), policy)
+        assert _serving_digest(fast) == _serving_digest(slow)
+        assert fast.weight_bytes + fast.peak_kv_reserved_bytes <= (
+            stub.hbm_budget
+        )
+
+    def test_refused_batch_does_not_bound_larger_batches(self, stub):
+        sim = self._sim(stub)
+        result = sim.run(self._trace(2), "continuous")
+        assert sim._verdicts["decode", 2, 128] is False
+        assert sim._verdicts["decode", 4, 128] is True
+        assert result.peak_in_flight == 4
+        assert result.metrics()["rejected"] > 0
+
+    @pytest.mark.parametrize("policy", ["static", "continuous"])
+    def test_head_refused_alone_is_rejected(self, stub, policy):
+        # a prompt that fills the window never decodes, yet admission
+        # asks its lone decode geometry: viability must ask it too, or
+        # the refused head stalls the loop forever
+        trace = generate_requests(
+            2, 10.0,
+            workload=ServingWorkload(
+                prompt_range=(SMALL.max_seq_len, SMALL.max_seq_len),
+                output_range=(5, 5),
+            ),
+        )
+        m = self._sim(stub).run(trace, policy).metrics()
+        assert m["rejected"] == 2
