@@ -29,6 +29,7 @@ from .recorder import (
 from .tensor import (
     Parameter,
     Tensor,
+    const,
     ensure_tensor,
     input_tensor,
     randn,
@@ -56,6 +57,7 @@ __all__ = [
     "scope",
     "Parameter",
     "Tensor",
+    "const",
     "ensure_tensor",
     "input_tensor",
     "randn",

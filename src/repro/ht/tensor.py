@@ -13,7 +13,7 @@ many recordings.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -254,15 +254,42 @@ def tensor(
     dtype: DType = DType.BF16,
     requires_grad: bool = False,
     name: str = "",
-    kind: str = "input",
 ) -> Tensor:
-    """Create a concrete tensor from array-like data."""
+    """Create a concrete input tensor from array-like data."""
     rec = _rec.current()
     arr = np.asarray(data, dtype=numpy_dtype(dtype))
-    value = rec.graph.add_value(arr.shape, dtype, name=name, kind=kind)
+    value = rec.graph.add_value(arr.shape, dtype, name=name, kind="input")
     return Tensor(
         value, arr if rec.concrete else None, requires_grad=requires_grad
     )
+
+
+def const(
+    shape: Shape,
+    make: Callable[[], "np.ndarray"],
+    *,
+    dtype: DType = DType.BF16,
+    name: str = "",
+) -> Tensor:
+    """A ``kind="const"`` value recorded from its shape alone.
+
+    ``make()`` builds the data and runs only in a concrete recording, so
+    a symbolic recording of an (n, n) causal mask costs no O(n^2)
+    memory. Raises :class:`~repro.util.errors.ShapeError` when the
+    array ``make()`` returns does not have ``shape``.
+    """
+    rec = _rec.current()
+    shape = tuple(shape)
+    data = None
+    if rec.concrete:
+        data = np.asarray(make(), dtype=numpy_dtype(dtype))
+        if data.shape != shape:
+            raise ShapeError(
+                f"const {name!r}: make() returned shape {data.shape}, "
+                f"declared {shape}"
+            )
+    value = rec.graph.add_value(shape, dtype, name=name, kind="const")
+    return Tensor(value, data)
 
 
 def input_tensor(

@@ -11,7 +11,6 @@ from .attention import (
     PerformerAttention,
     SoftmaxAttention,
     build_attention,
-    reference_softmax_attention,
 )
 from .bert import BertForMaskedLM, MLMHead
 from .config import (
@@ -43,7 +42,6 @@ __all__ = [
     "PerformerAttention",
     "SoftmaxAttention",
     "build_attention",
-    "reference_softmax_attention",
     "BertForMaskedLM",
     "MLMHead",
     "ATTENTION_KINDS",

@@ -33,6 +33,20 @@ from .config import AttentionConfig
 _NEG_INF = -1.0e9
 
 
+def _causal_mask(shape: tuple[int, ...], *, offset: int = 1,
+                 name: str = "causal_mask") -> Tensor:
+    """Additive mask const: ``_NEG_INF`` from diagonal ``offset`` up.
+
+    Recorded by shape; the dense array is built only in a concrete
+    recording (symbolic paper-scale sequences never allocate it).
+    """
+    return ht.const(
+        shape,
+        lambda: np.triu(np.full(shape, _NEG_INF, dtype=np.float32), k=offset),
+        name=name,
+    )
+
+
 def _split_heads(x: Tensor, num_heads: int, head_dim: int) -> Tensor:
     """(B, N, H*dh) -> (B, H, N, dh) via view + physical transpose."""
     b, n, _ = x.shape
@@ -98,9 +112,7 @@ class SoftmaxAttention(_AttentionBase):
         scores = F.mul_scalar(scores, cfg.head_dim ** -0.5)
         if cfg.causal:
             n = x.shape[1]
-            mask = np.triu(np.full((1, 1, n, n), _NEG_INF, dtype=np.float32), k=1)
-            scores = F.add(scores, ht.tensor(mask, name="causal_mask",
-                                             kind="const"))
+            scores = F.add(scores, _causal_mask((1, 1, n, n)))
         probs = F.softmax(scores, axis=-1)
         return self._finish(F.matmul(probs, v))
 
@@ -233,11 +245,9 @@ class ChunkedAttention(_AttentionBase):
             F.matmul(q, k, transpose_b=True), dh ** -0.5
         )  # (B,H,chunks,c,c)
         if cfg.causal:
-            mask = np.triu(
-                np.full((1, 1, 1, c, c), _NEG_INF, dtype=np.float32), k=1
+            scores = F.add(
+                scores, _causal_mask((1, 1, 1, c, c), name="chunk_mask")
             )
-            scores = F.add(scores, ht.tensor(mask, name="chunk_mask",
-                                             kind="const"))
         probs = F.softmax(scores, axis=-1)
         ctx = F.reshape(F.matmul(probs, v), (b, h, n, dh))
         return self._finish(ctx)
@@ -264,12 +274,7 @@ class PipelinedSoftmaxAttention(_AttentionBase):
                 f"sequence length {n} not divisible by chunk size {c}"
             )
         q, k, v = self._project(x)  # (B,H,N,dh)
-        mask = None
-        if cfg.causal:
-            full = np.triu(
-                np.full((1, 1, n, n), _NEG_INF, dtype=np.float32), k=1
-            )
-            mask = ht.tensor(full, name="causal_mask", kind="const")
+        mask = _causal_mask((1, 1, n, n)) if cfg.causal else None
 
         def chunk_scores(lo: int) -> Tensor:
             q_i = F.slice_rows(q, lo, lo + c)
@@ -320,24 +325,3 @@ def build_attention(
         "pipelined": PipelinedSoftmaxAttention,
     }[config.kind]
     return cls(config, rng=rng, materialize=materialize, name=name)
-
-
-def reference_softmax_attention(
-    x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
-    wo: np.ndarray, num_heads: int, *, causal: bool = False,
-) -> np.ndarray:
-    """Pure-numpy reference for correctness tests."""
-    b, n, d = x.shape
-    dh = d // num_heads
-
-    def split(mat):
-        return (x @ mat).reshape(b, n, num_heads, dh).transpose(0, 2, 1, 3)
-
-    q, k, v = split(wq), split(wk), split(wv)
-    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)
-    if causal:
-        scores = scores + np.triu(np.full((n, n), _NEG_INF), k=1)
-    e = np.exp(scores - scores.max(-1, keepdims=True))
-    probs = e / e.sum(-1, keepdims=True)
-    ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
-    return ctx @ wo

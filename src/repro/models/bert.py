@@ -83,9 +83,9 @@ class BertForMaskedLM(ht.Module):
             raise ShapeError(
                 f"sequence length {n} exceeds max {self.config.max_seq_len}"
             )
-        positions = ht.tensor(
-            np.broadcast_to(np.arange(n), (b, n)).copy(),
-            name="positions", kind="const",
+        positions = ht.const(
+            (b, n), lambda: np.broadcast_to(np.arange(n), (b, n)),
+            name="positions",
         )
         h = F.add(self.tok_embed(input_ids), self.pos_embed(positions))
         h = self.encoder(h)

@@ -25,7 +25,7 @@ from .. import ht
 from ..ht import functional as F
 from ..util.errors import DataError
 from ..util.rng import make_rng
-from .attention import _NEG_INF
+from .attention import _causal_mask
 from .gpt import GPT2LMHeadModel
 
 
@@ -72,8 +72,8 @@ def _attend(attn, x, k_cache: np.ndarray | None, v_cache: np.ndarray | None,
     if k_cache is not None:
         k_all = np.concatenate([k_cache, k_all], axis=2)
         v_all = np.concatenate([v_cache, v_all], axis=2)
-    k_t = ht.tensor(k_all, name="k_cache", kind="const")
-    v_t = ht.tensor(v_all, name="v_cache", kind="const")
+    k_t = ht.const(k_all.shape, lambda: k_all, name="k_cache")
+    v_t = ht.const(v_all.shape, lambda: v_all, name="v_cache")
     scores = F.mul_scalar(F.matmul(q, k_t, transpose_b=True), scale)
     if mask is not None:
         scores = F.add(scores, mask)
@@ -101,10 +101,8 @@ def _forward_incremental(
     n = len(token_ids)
     with ht.record("generate-step-cached", mode="concrete"):
         ids_t = ht.tensor(np.asarray([token_ids]))
-        positions = ht.tensor(
-            np.arange(first_position, first_position + n).reshape(1, n),
-            name="positions", kind="const",
-        )
+        pos = np.arange(first_position, first_position + n).reshape(1, n)
+        positions = ht.const(pos.shape, lambda: pos, name="positions")
         h = F.add(model.tok_embed(ids_t), model.pos_embed(positions))
         # New positions may only attend to cache + earlier new tokens;
         # with a single new token the row is all-visible and needs no
@@ -112,10 +110,7 @@ def _forward_incremental(
         mask = None
         if n > 1:
             past = 0 if caches is None else caches[0][0].shape[2]
-            full = np.full((1, 1, n, past + n), _NEG_INF, dtype=np.float32)
-            mask = ht.tensor(
-                np.triu(full, k=past + 1), name="causal_mask", kind="const",
-            )
+            mask = _causal_mask((1, 1, n, past + n), offset=past + 1)
         new_caches: list[tuple[np.ndarray, np.ndarray]] = []
         for i, layer in enumerate(model.decoder.layers):
             k_cache, v_cache = (None, None) if caches is None else caches[i]

@@ -150,9 +150,9 @@ class EncoderDecoderTransformer(ht.Module):
         )
 
     def _positions(self, b: int, n: int) -> Tensor:
-        return ht.tensor(
-            np.broadcast_to(np.arange(n), (b, n)).copy(),
-            name="positions", kind="const",
+        return ht.const(
+            (b, n), lambda: np.broadcast_to(np.arange(n), (b, n)),
+            name="positions",
         )
 
     def encode(self, src_ids: Tensor) -> Tensor:

@@ -61,7 +61,7 @@ from ..hw.config import GaudiConfig
 from ..util.errors import GraphError
 from .graph import Graph
 from .passes import PASS_OPTION_FLAGS, PassManager, default_passes
-from .recipe import RecipeCache, recipe_key
+from .recipe import RecipeCache, recipe_key_from_signature, signatures
 from .schedule import Schedule
 
 
@@ -262,15 +262,21 @@ class GraphCompiler:
                 )
             graph = recorded
         self.last_cache_hit = False
-        key = None
-        if self.options.use_recipe_cache:
-            key = recipe_key(graph, self.config, self.options)
+        options = self.options
+        key = sigs = None
+        if options.use_recipe_cache or options.incremental:
+            # one walk: the graph signature keys the recipe cache, the
+            # (structure, geometry) pair keys the pass cache
+            all_sigs = signatures(graph)
+            graph_sig, sigs = all_sigs[0], all_sigs[1:]
+        if options.use_recipe_cache:
+            key = recipe_key_from_signature(graph_sig, self.config, options)
             cached = self.cache.get(key)
             if cached is not None:
                 self.last_cache_hit = True
                 return cached
-        schedule = PassManager(self.config, self.options, self.passes).run(
-            graph
+        schedule = PassManager(self.config, options, self.passes).run(
+            graph, sigs
         )
         if key is not None:
             self.cache.put(key, schedule)

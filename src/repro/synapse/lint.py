@@ -486,7 +486,7 @@ def lint_schedule(schedule) -> list[LintWarning]:
 
 #: source tokens that betray a pass reading geometry (shapes, byte
 #: counts, or node attributes — which embed extents; see
-#: :func:`~repro.synapse.recipe.structure_signature`)
+#: :func:`~repro.synapse.recipe.signatures`)
 _GEOMETRY_TOKENS = (
     ".shape", ".numel", ".nbytes", ".attrs", "work_item_for",
     "lower_graph", "itemsize",

@@ -15,13 +15,18 @@ from typing import TYPE_CHECKING
 
 from ...hw.config import GaudiConfig
 from ..graph import Graph
-from ..recipe import geometry_signature, structure_signature
+from ..recipe import signatures
 from ..schedule import MemoryPlan, Schedule
-from .incremental import pass_cache, pass_cache_key
+from .incremental import SIGNATURE_COMPONENTS, pass_cache, pass_cache_key
 from .state import CompilationState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..compiler import CompilerOptions
+
+
+def _component_sigs(graph: Graph) -> dict[str, str]:
+    """``graph``'s signatures by :data:`SIGNATURE_COMPONENTS` name."""
+    return dict(zip(SIGNATURE_COMPONENTS, signatures(graph)[1:]))
 
 
 class CompilerPass:
@@ -34,7 +39,7 @@ class CompilerPass:
     Incremental recompilation contract: ``signature_deps`` declares
     which graph components the pass's *decisions* read
     (``"structure"``, ``"geometry"`` — see
-    :func:`~repro.synapse.recipe.structure_signature`), and
+    :func:`~repro.synapse.recipe.signatures`), and
     ``option_deps`` the :class:`CompilerOptions` fields it consults.
     A pass that additionally sets ``incremental = True`` and
     implements ``record``/``replay`` gets its effect cached by the
@@ -105,7 +110,9 @@ class PassManager:
         self.options = options
         self.passes = passes
 
-    def run(self, graph: Graph) -> Schedule:
+    def run(
+        self, graph: Graph, graph_sigs: tuple[str, str] | None = None
+    ) -> Schedule:
         """Compile ``graph`` through every pass; raises on OOM/invalid.
 
         With ``options.incremental`` (the default), passes that declare
@@ -116,15 +123,25 @@ class PassManager:
         Each stats entry carries ``incremental: "hit"|"miss"`` for
         cacheable passes and ``""`` otherwise; the compile-level
         summary lands in ``stats["incremental"]``.
+
+        ``graph_sigs`` is ``graph``'s (structure, geometry) signature
+        pair when the caller has already walked it; otherwise the first
+        cacheable pass walks it.
         """
         state = CompilationState(graph=graph, config=self.config,
                                  options=self.options)
         use_cache = bool(getattr(self.options, "incremental", False))
         cache = pass_cache() if use_cache else None
         # signatures are per graph *object*: a rewrite (lowering,
-        # slicing) swaps the object and naturally invalidates these
-        sigs: dict[str, str] = {}
+        # slicing) swaps the object and naturally invalidates these.
+        # A graph a cache entry installs is immutable and comes with
+        # its signatures; any other new graph is walked when a
+        # cacheable pass first needs its key.
         sig_graph: Graph | None = None
+        sigs: dict[str, str] = {}
+        if graph_sigs is not None:
+            sig_graph = graph
+            sigs = dict(zip(SIGNATURE_COMPONENTS, graph_sigs))
         # ordered (pass, enabled, read-options) record — the pipeline
         # prefix that makes chained annotation decisions part of every
         # downstream key. Seeded with the backend: placement decisions
@@ -146,19 +163,20 @@ class PassManager:
             key = None
             mode = ""
             t0 = time.perf_counter()
+            graph_in = state.graph
             if cacheable:
-                if state.graph is not sig_graph:
-                    sig_graph = state.graph
-                    sigs = {
-                        "structure": structure_signature(sig_graph),
-                        "geometry": geometry_signature(sig_graph),
-                    }
+                if graph_in is not sig_graph:
+                    sig_graph = graph_in
+                    sigs = _component_sigs(graph_in)
                 key = pass_cache_key(
                     compiler_pass, sigs, opt_values, tuple(prefix)
                 )
-                payload = cache.get(key)
-                if payload is not None:
+                cached = cache.get(key)
+                if cached is not None:
+                    payload, installed_sigs = cached
                     extra = compiler_pass.replay(state, payload) or {}
+                    if state.graph is not graph_in:
+                        sig_graph, sigs = state.graph, installed_sigs
                     mode = "hit"
                     reused += 1
             if not mode:
@@ -169,7 +187,15 @@ class PassManager:
                 if cacheable:
                     payload = compiler_pass.record(state)
                     if payload is not None:
-                        cache.put(key, payload)
+                        installed_sigs = None
+                        if state.graph is not graph_in:
+                            # the entry will install this graph on
+                            # replay: it is final now, so walk it once
+                            sig_graph = state.graph
+                            sigs = installed_sigs = _component_sigs(
+                                sig_graph
+                            )
+                        cache.put(key, (payload, installed_sigs))
                     mode = "miss"
                     recomputed += 1
             wall_us = (time.perf_counter() - t0) * 1e6

@@ -45,12 +45,16 @@ SIGNATURE_COMPONENTS = ("structure", "geometry")
 class PassResultCache:
     """Bounded LRU of recorded pass effects, shared process-wide.
 
-    Values are the in-memory payloads a pass's ``record`` hook
-    returned (id maps, group node-id lists, a lowered ``Graph`` — all
-    treated as immutable once stored); ``replay`` applies them to a
-    fresh :class:`CompilationState`. Nothing is serialized: unlike the
-    recipe cache this tier never touches disk, it only amortizes
-    repeated pipeline runs inside one process (a sweep).
+    Values are ``(payload, signatures)`` pairs. The payload is what a
+    pass's ``record`` hook returned (id maps, group node-id lists, a
+    lowered ``Graph`` — all treated as immutable once stored);
+    ``replay`` applies it to a fresh :class:`CompilationState`. When
+    replaying installs a new graph, ``signatures`` holds that graph's
+    component signatures (see :data:`SIGNATURE_COMPONENTS`), so a warm
+    compile never re-walks it; otherwise it is ``None``. Nothing is
+    serialized: unlike the recipe cache this tier never touches disk,
+    it only amortizes repeated pipeline runs inside one process (a
+    sweep).
     """
 
     def __init__(self, maxsize: int = 512):
@@ -59,9 +63,9 @@ class PassResultCache:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self._entries: "OrderedDict[str, dict]" = OrderedDict()
+        self._entries: "OrderedDict[str, tuple]" = OrderedDict()
 
-    def get(self, key: str) -> dict | None:
+    def get(self, key: str) -> tuple | None:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -70,8 +74,8 @@ class PassResultCache:
         self.hits += 1
         return entry
 
-    def put(self, key: str, payload: dict) -> None:
-        self._entries[key] = payload
+    def put(self, key: str, entry: tuple) -> None:
+        self._entries[key] = entry
         self._entries.move_to_end(key)
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)

@@ -91,83 +91,64 @@ def reset_recipe_cache_stats() -> None:
         _global_stats[key] = 0
 
 
-def graph_signature(graph: Graph) -> str:
-    """Canonical content hash of a graph (structure, shapes, dtypes).
+def signatures(graph: Graph) -> tuple[str, str, str]:
+    """``(graph, structure, geometry)`` signatures of ``graph``, one walk.
 
-    Two graphs built by identical frontend programs — e.g. the same
-    training step re-recorded every iteration — produce the same
-    signature; any change to an op kind, shape, dtype, attribute,
-    value kind, or provenance changes it.
+    * graph — the canonical content hash (structure, shapes, dtypes).
+      Two graphs built by identical frontend programs — e.g. the same
+      training step re-recorded every iteration — produce the same
+      signature; any change to an op kind, shape, dtype, attribute,
+      value kind, or provenance changes it. It keys the recipe cache.
+    * structure — everything *except* geometry: op kinds,
+      connectivity, dtypes, value kinds/names, provenance, and
+      gradient markings — the inputs the structural compiler passes
+      (validation, view elision, fusion grouping, recompile marking,
+      DMA staging) read for their decisions. Two sweep points of the
+      same model that differ only in batch/sequence sizes share it,
+      which is what lets the incremental pass cache replay those
+      passes' decisions (see :mod:`repro.synapse.passes.incremental`).
+    * geometry — value shapes + node attributes, the complement of
+      structure. Node attributes are deliberately geometry: they
+      routinely embed concrete extents — reshape/broadcast targets,
+      slice windows, and derived scalars like ``mean_bwd``'s
+      ``alpha = 1/numel`` — so any attribute-reading pass must declare
+      geometry dependence (the ``lint_passes`` rule polices this).
+
+    Each is a SHA-256 hex digest over newline-terminated records, the
+    three fed from the same pass over values and nodes.
     """
-    h = hashlib.sha256()
-    h.update(f"graph:{graph.name}\n".encode())
+    full = [f"graph:{graph.name}\n"]
+    struct = [f"structure:{graph.name}\n"]
+    geom = ["geometry\n"]
     for vid, v in sorted(graph.values.items()):
-        h.update(
-            f"v:{vid}:{v.shape}:{v.dtype.value}:{v.kind}:{v.name}\n".encode()
-        )
+        shape = f"v:{vid}:{v.shape}"
+        meta = f"{v.dtype.value}:{v.kind}:{v.name}\n"
+        full.append(f"{shape}:{meta}")
+        struct.append(f"v:{vid}:{meta}")
+        geom.append(f"{shape}\n")
     for n in graph.nodes:
         attrs = repr(sorted(n.attrs.items()))
-        h.update(
-            f"n:{n.nid}:{n.op}:{n.inputs}:{n.output}:{attrs}:"
-            f"{n.src}:{n.scope}\n".encode()
-        )
+        head = f"n:{n.nid}:{n.op}:{n.inputs}:{n.output}:"
+        tail = f"{n.src}:{n.scope}\n"
+        full.append(f"{head}{attrs}:{tail}")
+        struct.append(head + tail)
+        geom.append(f"n:{n.nid}:{attrs}\n")
     if graph.metadata:
         # Gradient markings (and any future annotations) feed compiler
         # passes — collective_injection buckets by them — so they are
         # part of what compilation reads.
-        h.update(f"m:{sorted(graph.metadata.items())!r}\n".encode())
-    return h.hexdigest()
+        marks = f"m:{sorted(graph.metadata.items())!r}\n"
+        full.append(marks)
+        struct.append(marks)
+    return tuple(
+        hashlib.sha256("".join(lines).encode()).hexdigest()
+        for lines in (full, struct, geom)
+    )
 
 
-def structure_signature(graph: Graph) -> str:
-    """Hash of everything about a graph *except* its geometry.
-
-    Op kinds, connectivity, dtypes, value kinds/names, provenance, and
-    gradient markings — the inputs the structural compiler passes
-    (validation, view elision, fusion grouping, recompile marking, DMA
-    staging) actually read for their decisions. Two sweep points of
-    the same model that differ only in batch/sequence sizes share a
-    structure signature, which is what lets the incremental pass cache
-    replay those passes' decisions instead of re-deriving them (see
-    :mod:`repro.synapse.passes.incremental`).
-
-    Node attributes are deliberately *geometry*: they routinely embed
-    concrete extents — reshape/broadcast targets, slice windows, and
-    derived scalars like ``mean_bwd``'s ``alpha = 1/numel`` — so any
-    attribute-reading pass must declare geometry dependence (the
-    ``lint_passes`` rule polices this).
-    """
-    h = hashlib.sha256()
-    h.update(f"structure:{graph.name}\n".encode())
-    for vid, v in sorted(graph.values.items()):
-        h.update(f"v:{vid}:{v.dtype.value}:{v.kind}:{v.name}\n".encode())
-    for n in graph.nodes:
-        h.update(
-            f"n:{n.nid}:{n.op}:{n.inputs}:{n.output}:"
-            f"{n.src}:{n.scope}\n".encode()
-        )
-    if graph.metadata:
-        h.update(f"m:{sorted(graph.metadata.items())!r}\n".encode())
-    return h.hexdigest()
-
-
-def geometry_signature(graph: Graph) -> str:
-    """Hash of a graph's geometry: value shapes + node attributes.
-
-    The complement of :func:`structure_signature` — together they
-    cover everything :func:`graph_signature` covers. Passes whose
-    decisions depend on concrete extents (lowering's rewritten shapes,
-    TPC slicing, memory planning) declare this component and re-run
-    whenever it changes.
-    """
-    h = hashlib.sha256()
-    h.update(b"geometry\n")
-    for vid, v in sorted(graph.values.items()):
-        h.update(f"v:{vid}:{v.shape}\n".encode())
-    for n in graph.nodes:
-        attrs = repr(sorted(n.attrs.items()))
-        h.update(f"n:{n.nid}:{attrs}\n".encode())
-    return h.hexdigest()
+def graph_signature(graph: Graph) -> str:
+    """The recipe-cache content hash of ``graph`` (see :func:`signatures`)."""
+    return signatures(graph)[0]
 
 
 def options_signature(options: "CompilerOptions") -> str:
@@ -183,8 +164,15 @@ def recipe_key(
     graph: Graph, config: "GaudiConfig", options: "CompilerOptions"
 ) -> str:
     """Full cache key: graph signature x device config x options."""
+    return recipe_key_from_signature(graph_signature(graph), config, options)
+
+
+def recipe_key_from_signature(
+    graph_sig: str, config: "GaudiConfig", options: "CompilerOptions"
+) -> str:
+    """:func:`recipe_key` from an already computed graph signature."""
     h = hashlib.sha256()
-    h.update(graph_signature(graph).encode())
+    h.update(graph_sig.encode())
     h.update(repr(config).encode())
     h.update(options_signature(options).encode())
     return h.hexdigest()

@@ -94,7 +94,7 @@ class TestTensorEdges:
 
     def test_tensor_kind_recorded(self):
         with ht.record() as rec:
-            t = ht.tensor([1.0], kind="const", name="c")
+            t = ht.const((1,), lambda: [1.0], name="c")
         assert rec.graph.value(t.vid).kind == "const"
 
     def test_repr_modes(self):

@@ -23,7 +23,7 @@ from repro.synapse.passes import (
     pass_cache_stats,
     reset_pass_cache,
 )
-from repro.synapse.recipe import geometry_signature, structure_signature
+from repro.synapse.recipe import signatures
 from repro.synapse.serialize import schedule_to_json
 
 
@@ -32,6 +32,14 @@ def _fresh_pass_cache():
     reset_pass_cache()
     yield
     reset_pass_cache()
+
+
+def structure_signature(graph):
+    return signatures(graph)[1]
+
+
+def geometry_signature(graph):
+    return signatures(graph)[2]
 
 
 def record_step(batch, width=32, depth=3):

@@ -12,11 +12,31 @@ from repro.models import (
     PerformerAttention,
     SoftmaxAttention,
     build_attention,
-    reference_softmax_attention,
 )
 from repro.util.errors import ConfigError, ShapeError
 
 CFG = AttentionConfig(num_heads=2, head_dim=4)
+
+
+def reference_softmax_attention(
+    x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
+    wo: np.ndarray, num_heads: int, *, causal: bool = False,
+) -> np.ndarray:
+    """Pure-numpy reference for correctness tests."""
+    b, n, d = x.shape
+    dh = d // num_heads
+
+    def split(mat):
+        return (x @ mat).reshape(b, n, num_heads, dh).transpose(0, 2, 1, 3)
+
+    q, k, v = split(wq), split(wk), split(wv)
+    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)
+    if causal:
+        scores = scores + np.triu(np.full((n, n), -1.0e9), k=1)
+    e = np.exp(scores - scores.max(-1, keepdims=True))
+    probs = e / e.sum(-1, keepdims=True)
+    ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
+    return ctx @ wo
 
 
 @pytest.fixture()
