@@ -48,7 +48,9 @@ from .hw.device import default_device
 from .synapse import (
     DEFAULT_RECIPE_CACHE_DIR,
     PASS_OPTION_FLAGS,
+    CompilerOptions,
     default_compiler_options,
+    default_recipe_cache_dir,
     disable_passes,
     set_default_compiler_options,
     set_default_recipe_cache_dir,
@@ -405,7 +407,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    options = default_compiler_options()
+    """Apply the global flags for one invocation, then dispatch.
+
+    Options start from :class:`CompilerOptions` defaults, not from the
+    process-wide ones, and every process default the flags set is
+    restored afterwards — so an invocation behaves the same whether or
+    not another ran earlier in the same process.
+    """
+    global _CLI_CARDS, _CLI_JOBS
+    options = CompilerOptions()
     if args.disable_pass:
         options = disable_passes(options, *args.disable_pass)
     if args.backend is not None:
@@ -428,22 +438,28 @@ def _run(args: argparse.Namespace) -> int:
     options = dataclasses.replace(
         options, **{k: v for k, v in flags.items() if v is not None}
     )
+    saved = (
+        default_compiler_options(), default_recipe_cache_dir(),
+        _CLI_CARDS, _CLI_JOBS,
+    )
     set_default_compiler_options(options)
-    if args.recipe_cache_dir is not None:
-        set_default_recipe_cache_dir(args.recipe_cache_dir)
-    if args.cards is not None:
-        global _CLI_CARDS
-        _CLI_CARDS = args.cards
-    if args.jobs != 1:
-        global _CLI_JOBS
-        _CLI_JOBS = max(1, args.jobs)
+    set_default_recipe_cache_dir(args.recipe_cache_dir)
+    _CLI_CARDS = args.cards
+    _CLI_JOBS = max(1, args.jobs)
+    try:
+        return _dispatch(args)
+    finally:
+        set_default_compiler_options(saved[0])
+        set_default_recipe_cache_dir(saved[1])
+        _CLI_CARDS, _CLI_JOBS = saved[2], saved[3]
 
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "lint-gate":
         return _lint_gate()
 
     if args.command == "sweep":
         from .core import run_sweep, sweep_spec_from_cli
-        from .synapse.recipe import default_recipe_cache_dir
 
         backend_axis = args.backend_axis or (
             [args.backend] if args.backend else []
@@ -472,7 +488,6 @@ def _run(args: argparse.Namespace) -> int:
             render_serving_table,
             run_serving,
         )
-        from .synapse.recipe import default_recipe_cache_dir
 
         rates = args.rate or [10.0, 20.0, 40.0]
         policies = args.policy or list(SERVING_POLICIES)

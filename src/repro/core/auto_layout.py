@@ -194,7 +194,9 @@ class LayoutPlanner:
         system = HLS1Device(_system_config(
             layout.total_cards, self.cards_per_box, self.hls1
         ))
-        result = HLS1Runtime(system).execute(schedule)
+        result = HLS1Runtime(system).execute(
+            schedule, **options.runtime_kwargs()
+        )
         return LayoutPricing(layout, result.total_time_us)
 
     def samples_per_s(self, pricing: LayoutPricing) -> float:
@@ -265,7 +267,7 @@ def auto_layout(
     priced = [planner.price(layout) for layout in candidates]
     feasible = [p for p in priced if p.feasible]
     if not feasible:
-        raise DeviceMemoryError(
+        raise CompileError(
             f"every candidate layout for {model_name} on "
             f"{total_cards} cards is infeasible: "
             + "; ".join(f"{p.layout.describe()}: {p.reason}" for p in priced)

@@ -1,4 +1,4 @@
-"""Simulated Gaudi hardware: configs, cost models, engines, memory.
+"""Simulated Gaudi hardware: configs, cost models, engines, fabric.
 
 The package models the architecture the paper describes in §2.1–§2.2:
 a Matrix Multiplication Engine, eight VLIW/SIMD Tensor Processing
@@ -39,14 +39,14 @@ from .costmodel import (
     WorkItem,
     tpc_matmul_cycles,
 )
-from .des import EngineTimeline, EventQueue, Interval
+from .des import EngineTimeline, Interval
 from .energy import (
     EnergyBreakdown,
     EnergyConfig,
     joules_per_token,
     schedule_energy,
 )
-from .device import GaudiDevice, HLS1System, default_device
+from .device import GaudiDevice, default_device
 from .dtypes import (
     DType,
     TPC_VECTOR_BITS,
@@ -57,14 +57,11 @@ from .dtypes import (
     simd_lanes,
 )
 from .interconnect import (
-    AllGather,
     CollectiveCost,
-    HostLink,
     RingAllReduce,
     data_parallel_step_time_us,
     scaling_efficiency,
 )
-from .memory import Allocation, MemoryTracker, plan_peak_bytes
 
 __all__ = [
     "DMAConfig",
@@ -100,10 +97,8 @@ __all__ = [
     "joules_per_token",
     "schedule_energy",
     "EngineTimeline",
-    "EventQueue",
     "Interval",
     "GaudiDevice",
-    "HLS1System",
     "default_device",
     "DType",
     "TPC_VECTOR_BITS",
@@ -112,13 +107,8 @@ __all__ = [
     "numpy_dtype",
     "parse_dtype",
     "simd_lanes",
-    "AllGather",
     "CollectiveCost",
-    "HostLink",
     "RingAllReduce",
     "data_parallel_step_time_us",
     "scaling_efficiency",
-    "Allocation",
-    "MemoryTracker",
-    "plan_peak_bytes",
 ]

@@ -42,7 +42,6 @@ from ..config import GIB, DMAConfig
 from ..costmodel import CostParts, DMAModel, EngineKind, MatmulDims, OpClass, WorkItem
 from ..des import EngineTimeline
 from ..dtypes import DType, itemsize
-from ..memory import MemoryTracker
 from ...util.validation import (
     check_fraction,
     check_non_negative,
@@ -367,9 +366,7 @@ class WSECostModel:
 class WSEDevice:
     """One simulated wafer-scale engine (GaudiDevice twin)."""
 
-    def __init__(
-        self, config: WSEConfig | None = None, *, enforce_memory: bool = True
-    ):
+    def __init__(self, config: WSEConfig | None = None):
         self.config = config or WSEConfig()
         self.cost_model = WSECostModel(self.config)
         self.timelines: dict[EngineKind, EngineTimeline] = {
@@ -378,10 +375,6 @@ class WSEDevice:
             EngineKind.HOST: EngineTimeline("HOST"),
             EngineKind.NIC: EngineTimeline("NIC"),
         }
-        # activations + streamed-through weights plan against wafer SRAM
-        self.hbm = MemoryTracker(
-            self.config.sram.capacity_bytes, enforce=enforce_memory
-        )
 
     @property
     def now(self) -> float:
@@ -393,10 +386,9 @@ class WSEDevice:
         return self.timelines[engine]
 
     def reset(self) -> None:
-        """Clear all engine timelines and memory statistics."""
+        """Clear all engine timelines."""
         for tl in self.timelines.values():
             tl.reset()
-        self.hbm.reset()
 
     def utilization(
         self, engine: EngineKind, horizon: float | None = None

@@ -149,6 +149,14 @@ class BandwidthArbiter:
                 best = t
         return best
 
+    def busy_us(self) -> float:
+        """Wall time the pool had traffic draining (from ``rate_log``)."""
+        return sum(
+            seg.end_us - seg.start_us
+            for seg in self.rate_log
+            if seg.total_rate > 0
+        )
+
     def _vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """(remaining_bytes, rate) of the active pool, as arrays."""
         m = len(self._drainers)

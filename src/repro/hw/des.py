@@ -1,63 +1,19 @@
 """Discrete-event simulation primitives.
 
-Two pieces are enough for the whole simulator:
-
-* :class:`EventQueue` — a time-ordered queue with FIFO tie-breaking,
-  used by the runtime to drive op-completion events;
-* :class:`EngineTimeline` — a single-server resource that can only run
-  one op at a time (an MME, the TPC cluster as scheduled by SynapseAI,
-  a DMA channel); it allocates non-overlapping busy intervals and
-  answers utilization/gap queries afterwards. The "blank areas in the
-  MME operating area" that the paper keeps pointing at (Figs 4, 6, 8, 9)
-  are exactly the gaps of an :class:`EngineTimeline`.
+:class:`EngineTimeline` is a single-server resource that can only run
+one op at a time (an MME, the TPC cluster as scheduled by SynapseAI, a
+DMA channel); it allocates non-overlapping busy intervals and answers
+utilization/gap queries afterwards. The "blank areas in the MME
+operating area" that the paper keeps pointing at (Figs 4, 6, 8, 9) are
+exactly the gaps of an :class:`EngineTimeline`. The runtime's event
+loop keeps its own heaps (:mod:`repro.synapse.runtime`).
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 from ..util.errors import ExecutionError
-
-
-@dataclass(order=True)
-class _Entry:
-    time: float
-    seq: int
-    payload: Any = field(compare=False)
-
-
-class EventQueue:
-    """Min-heap of (time, payload) events with stable FIFO tie-breaking."""
-
-    def __init__(self) -> None:
-        self._heap: list[_Entry] = []
-        self._counter = itertools.count()
-
-    def push(self, time: float, payload: Any) -> None:
-        """Schedule ``payload`` at ``time`` (microseconds)."""
-        if time < 0:
-            raise ExecutionError(f"cannot schedule event at negative time {time}")
-        heapq.heappush(self._heap, _Entry(time, next(self._counter), payload))
-
-    def pop(self) -> tuple[float, Any]:
-        """Remove and return the earliest ``(time, payload)``."""
-        if not self._heap:
-            raise ExecutionError("pop from empty event queue")
-        entry = heapq.heappop(self._heap)
-        return entry.time, entry.payload
-
-    def peek_time(self) -> float | None:
-        """Earliest scheduled time, or ``None`` when empty."""
-        return self._heap[0].time if self._heap else None
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,25 @@
 """Device objects: a simulated Gaudi card and an HLS-1 system.
 
-A :class:`GaudiDevice` bundles the per-engine timelines, the cost
-model, and the HBM tracker. The synapse runtime executes compiled
-schedules *onto* a device; the device owns all mutable simulation state
-so one device can run many graphs back to back (its clock keeps
-advancing) or be reset between experiments.
+A :class:`GaudiDevice` bundles the per-engine timelines and the cost
+model; an :class:`HLS1Device` is N of them behind the shared fabric.
+The synapse runtime executes compiled schedules *onto* a device; the
+device owns all mutable simulation state so one device can run many
+graphs back to back (its clock keeps advancing) or be reset between
+experiments. HBM capacity is enforced at compile time by the memory
+planner (:mod:`repro.synapse.passes.memory`), not by the device.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import GaudiConfig, HLS1Config
 from .costmodel import CostModel, EngineKind
 from .des import EngineTimeline
-from .memory import MemoryTracker
 
 
 class GaudiDevice:
     """One simulated Gaudi processor."""
 
-    def __init__(self, config: GaudiConfig | None = None, *, enforce_memory: bool = True):
+    def __init__(self, config: GaudiConfig | None = None):
         self.config = config or GaudiConfig()
         self.cost_model = CostModel(self.config)
         self.timelines: dict[EngineKind, EngineTimeline] = {
@@ -30,9 +29,6 @@ class GaudiDevice:
             EngineKind.HOST: EngineTimeline("HOST"),
             EngineKind.NIC: EngineTimeline("NIC"),
         }
-        self.hbm = MemoryTracker(
-            self.config.hbm.capacity_bytes, enforce=enforce_memory
-        )
 
     @property
     def now(self) -> float:
@@ -44,10 +40,9 @@ class GaudiDevice:
         return self.timelines[engine]
 
     def reset(self) -> None:
-        """Clear all engine timelines and memory statistics."""
+        """Clear all engine timelines."""
         for tl in self.timelines.values():
             tl.reset()
-        self.hbm.reset()
 
     def utilization(self, engine: EngineKind, horizon: float | None = None) -> float:
         """Fraction of time ``engine`` was busy up to ``horizon``."""
@@ -67,58 +62,24 @@ class GaudiDevice:
         )
 
 
-@dataclass
-class HLS1System:
-    """An HLS-1 box: eight Gaudi cards behind two PCIe Gen4 switches.
-
-    The paper runs on a single card of an HLS-1 (§3.1); the system
-    object exists for the multi-card scaling extension and for host
-    dataloading cost accounting.
-    """
-
-    config: HLS1Config
-
-    def __post_init__(self) -> None:
-        self.cards = [
-            GaudiDevice(self.config.card) for _ in range(self.config.num_cards)
-        ]
-
-    def __len__(self) -> int:
-        return len(self.cards)
-
-    def card(self, index: int) -> GaudiDevice:
-        """The ``index``-th Gaudi in the box."""
-        return self.cards[index]
-
-    def reset(self) -> None:
-        """Reset every card."""
-        for card in self.cards:
-            card.reset()
-
-
 class HLS1Device:
     """N Gaudi cards plus the shared fabric tiers, as one device.
 
-    Unlike :class:`HLS1System` (a bag of independent cards used for
-    cost accounting), an ``HLS1Device`` is what the multi-card runtime
-    executes onto: every card replays the same data-parallel schedule
-    on its own clock, and collective ops synchronize the clocks through
-    the fabric. With ``boxes=1`` the fabric is the flat pool of
-    ``num_cards`` ring links; multi-box configs add the inter-box
-    Ethernet tier (``inter_fabric_bandwidth``) and the card population
-    becomes ``boxes x cards_per_box`` — card index ``i`` is
+    The paper runs on a single card of an HLS-1 (§3.1); this is what
+    the multi-card runtime executes onto: every card replays the same
+    data-parallel schedule on its own clock, and collective ops
+    synchronize the clocks through the fabric. With ``boxes=1`` the
+    fabric is the flat pool of ``num_cards`` ring links; multi-box
+    configs add the inter-box Ethernet tier
+    (``inter_fabric_bandwidth``) and the card population becomes
+    ``boxes x cards_per_box`` — card index ``i`` is
     ``(box i // cards_per_box, lane i % cards_per_box)``.
     """
 
-    def __init__(
-        self,
-        config: HLS1Config | None = None,
-        *,
-        enforce_memory: bool = True,
-    ):
+    def __init__(self, config: HLS1Config | None = None):
         self.config = config or HLS1Config()
         self.cards = [
-            GaudiDevice(self.config.card, enforce_memory=enforce_memory)
+            GaudiDevice(self.config.card)
             for _ in range(self.config.total_cards)
         ]
 

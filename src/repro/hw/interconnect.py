@@ -9,8 +9,8 @@ single card; this module powers the scaling extension experiments
 
 Two views of the same algorithms live here:
 
-* closed-form costs (:class:`RingAllReduce`, :class:`AllGather`) — the
-  analytic reference used for cross-checks and documentation;
+* the closed-form :class:`RingAllReduce` cost — the analytic
+  reference used for cross-checks and documentation;
 * per-ring-step :class:`CollectivePlan` objects
   (:func:`collective_plan`) — the event-driven decomposition the
   multi-card runtime replays, step by step, through a fabric-level
@@ -73,33 +73,6 @@ class RingAllReduce:
         bw_term = 2.0 * (p - 1) / p * payload_bytes / self.config.roce_bandwidth_bytes_per_s
         return CollectiveCost(
             "ring-allreduce", p, payload_bytes, s_to_us(bw_term) + lat_term, steps
-        )
-
-
-class AllGather:
-    """Ring all-gather: (p-1)/p * total bytes per link + latencies."""
-
-    def __init__(self, config: InterconnectConfig):
-        self.config = config
-
-    def cost(self, num_cards: int, payload_bytes: int) -> CollectiveCost:
-        """All-gather cost where each card contributes ``payload_bytes``."""
-        if num_cards < 1:
-            raise ConfigError(f"num_cards must be >= 1, got {num_cards}")
-        if payload_bytes < 0:
-            raise ConfigError(f"payload_bytes must be >= 0, got {payload_bytes}")
-        if num_cards == 1:
-            return CollectiveCost("ring-allgather", 1, payload_bytes, 0.0, 0)
-        p = num_cards
-        steps = p - 1
-        lat_term = steps * self.config.roce_latency_us
-        if payload_bytes < p:
-            # Latency-bound floor, mirroring RingAllReduce: sub-chunk
-            # contributions make every ring step a near-empty message.
-            return CollectiveCost("ring-allgather", p, payload_bytes, lat_term, steps)
-        bw_term = (p - 1) * payload_bytes / self.config.roce_bandwidth_bytes_per_s
-        return CollectiveCost(
-            "ring-allgather", p, payload_bytes, s_to_us(bw_term) + lat_term, steps
         )
 
 
@@ -456,21 +429,6 @@ def scale_plan(plan: CollectivePlan, groups: int) -> CollectivePlan:
         rate_cap, _replay_sum(steps, rate_cap, inter_cap),
         inter_rate_cap=inter_cap,
     )
-
-
-class HostLink:
-    """PCIe Gen4 path between the external host CPU and a card (§3.1)."""
-
-    def __init__(self, config: InterconnectConfig):
-        self.config = config
-
-    def transfer_time_us(self, payload_bytes: int) -> float:
-        """Host<->device copy duration."""
-        if payload_bytes < 0:
-            raise ConfigError(f"payload_bytes must be >= 0, got {payload_bytes}")
-        return self.config.pcie_latency_us + s_to_us(
-            payload_bytes / self.config.pcie_bandwidth_bytes_per_s
-        )
 
 
 def data_parallel_step_time_us(

@@ -41,7 +41,7 @@ from .passes import (
     PassManager,
     default_passes,
 )
-from .profiler import HLS1Profiler, ProfileResult, SynapseProfiler
+from .profiler import ProfileResult, SynapseProfiler
 from .recipe import (
     DEFAULT_RECIPE_CACHE_DIR,
     RecipeCache,
@@ -121,7 +121,6 @@ __all__ = [
     "op",
     "op_names",
     "work_item_for",
-    "HLS1Profiler",
     "ProfileResult",
     "SynapseProfiler",
     "ascii_timeline",

@@ -9,13 +9,11 @@ metrics the paper reports.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
-from ..hw.config import GaudiConfig, HLS1Config
+from ..hw.config import GaudiConfig
 from ..hw.costmodel import EngineKind
-from ..hw.device import GaudiDevice, HLS1Device
-from ..util.errors import ConfigError
+from ..hw.device import GaudiDevice
 from ..util.tabulate import render_kv
 from ..util.units import fmt_bytes, fmt_time_us, us_to_ms
 from .compiler import (
@@ -24,7 +22,7 @@ from .compiler import (
     default_compiler_options,
 )
 from .graph import Graph
-from .runtime import HLS1Runtime, Runtime
+from .runtime import Runtime
 from .schedule import Schedule
 from .trace import Timeline, TraceEvent
 
@@ -39,13 +37,6 @@ class ProfileResult:
     total_time_us: float
     #: whether compilation was served from the recipe cache
     cache_hit: bool = False
-    #: cards the schedule ran on (1 for a single-Gaudi profile)
-    num_cards: int = 1
-    #: NIC busy time on card 0 not hidden under MME/TPC compute — the
-    #: communication the training step actually waits for
-    exposed_comm_us: float = 0.0
-    #: time the HLS-1 fabric had wire traffic draining
-    fabric_busy_us: float = 0.0
 
     # -- the paper's headline metrics ----------------------------------------
 
@@ -120,22 +111,6 @@ class ProfileResult:
             return 0.0
         return self.contention_stall_us / self.total_time_us
 
-    # -- multi-card metrics ---------------------------------------------------
-
-    @property
-    def exposed_comm_fraction(self) -> float:
-        """Exposed communication as a fraction of the makespan."""
-        if self.total_time_us <= 0:
-            return 0.0
-        return self.exposed_comm_us / self.total_time_us
-
-    @property
-    def fabric_utilization(self) -> float:
-        """Fraction of the makespan the fabric was draining wire bytes."""
-        if self.total_time_us <= 0:
-            return 0.0
-        return self.fabric_busy_us / self.total_time_us
-
     def scope_breakdown(self, *, depth: int = 2) -> list[tuple[str, float, float]]:
         """Busy time per scope prefix: (scope, busy_us, share).
 
@@ -173,12 +148,6 @@ class ProfileResult:
             ("HBM contention stall", fmt_time_us(self.contention_stall_us)),
             ("ops stalled by contention", self.contended_op_count),
         ]
-        if self.num_cards > 1:
-            pairs += [
-                ("cards", self.num_cards),
-                ("exposed comm", fmt_time_us(self.exposed_comm_us)),
-                ("fabric utilization", f"{self.fabric_utilization:.1%}"),
-            ]
         shares = sorted(
             self.timeline.busy_by_src(EngineKind.TPC).items(),
             key=lambda kv: kv[1],
@@ -297,56 +266,3 @@ class SynapseProfiler:
                 cache_hit=self.compiler.last_cache_hit,
             ))
         return results
-
-
-class HLS1Profiler:
-    """Compile once, execute on every card of an HLS-1 box.
-
-    The data-parallel analog of :class:`SynapseProfiler`: collective
-    injection is forced on (a DDP step without gradient all-reduce is
-    not a DDP step) and execution goes through
-    :class:`~repro.synapse.runtime.HLS1Runtime`. The compiled schedule
-    is card-count independent, so profiling the same graph across box
-    sizes keeps hitting the recipe cache.
-    """
-
-    def __init__(
-        self,
-        config: HLS1Config | None = None,
-        options: CompilerOptions | None = None,
-    ):
-        self.config = config or HLS1Config()
-        base = options or default_compiler_options()
-        if base.backend != "gaudi":
-            raise ConfigError(
-                "HLS1Profiler models a Gaudi HLS-1 box; "
-                f"backend {base.backend!r} has no multi-card system model"
-            )
-        if not base.inject_collectives:
-            base = dataclasses.replace(base, inject_collectives=True)
-        self.options = base
-        self.compiler = GraphCompiler(self.config.card, base)
-
-    def compile(self, graph: Graph) -> Schedule:
-        """Compile only (exposed for schedule inspection in tests)."""
-        return self.compiler.compile(graph)
-
-    def profile(
-        self, graph: Graph, *, system: HLS1Device | None = None
-    ) -> ProfileResult:
-        """Compile + execute ``graph`` on the box; t=0-normalized."""
-        schedule = self.compiler.compile(graph)
-        system = system or HLS1Device(self.config)
-        runtime = HLS1Runtime(system)
-        result = runtime.execute(schedule, **self.options.runtime_kwargs())
-        timeline = result.timeline.shifted(-result.start_offset_us)
-        return ProfileResult(
-            graph_name=graph.name,
-            timeline=timeline,
-            schedule=schedule,
-            total_time_us=result.total_time_us,
-            cache_hit=self.compiler.last_cache_hit,
-            num_cards=result.num_cards,
-            exposed_comm_us=result.exposed_comm_us,
-            fabric_busy_us=result.fabric_busy_us,
-        )

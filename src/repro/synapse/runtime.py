@@ -46,6 +46,9 @@ Two memory models, selected by
 Durations come from the device's calibrated cost models; fused chains
 sum member compute time and pay HBM traffic only for chain-external
 reads (all members') plus the final write.
+
+:class:`Runtime` (one card) and :class:`HLS1Runtime` (every card of an
+HLS-1, plus the fabric) run the same execute body, :func:`_execute`.
 """
 
 from __future__ import annotations
@@ -177,271 +180,282 @@ class Runtime:
         ``"reorder"`` or ``"lookahead"``); ``hbm_contention`` picks the
         memory model (see the module docstring).
         """
-        start_offset = self.device.now
-        cost = self.device.cost_model
-        # one cached cost walk serves both the planner and the fluid
-        # loop: recomposing the parts at full bandwidth reproduces
-        # :func:`op_duration_us` exactly (see :class:`CostParts`)
-        prep = _schedule_prep(schedule, cost)
-        durations = prep.durations
-        order = self._plan_order(schedule, durations, start_offset, scheduler)
-        if hbm_contention:
-            events, stall_total = _fluid_execute_vector(
-                [self.device], schedule, order, start_offset, prep=prep
+        return _execute(
+            [self.device], schedule,
+            scheduler=scheduler, hbm_contention=hbm_contention,
+        )
+
+
+def _execute(
+    cards: list[GaudiDevice],
+    schedule: Schedule,
+    *,
+    scheduler: str,
+    hbm_contention: bool,
+    plans: dict[int, CollectivePlan] | None = None,
+    fabric: BandwidthArbiter | TwoTierFabric | None = None,
+) -> ExecutionResult:
+    """The one execute body, for one card or many.
+
+    Every card replays ``schedule`` in one planned issue order from
+    ``t0 = max(card.now)``. Collectives with a non-empty plan take the
+    plan's analytic time in the planner and the uncontended replay,
+    and drain through ``fabric`` in the contended loop; a plain
+    :class:`Runtime` passes no plans and no fabric, so its NIC ops are
+    ordinary cost-model ops and it reports no exposed communication.
+    """
+    t0 = max(card.now for card in cards)
+    # one cached cost walk serves both the planner and the fluid loop:
+    # recomposing the parts at full bandwidth reproduces
+    # :func:`op_duration_us` exactly (see :class:`CostParts`)
+    prep = _schedule_prep(schedule, cards[0].cost_model)
+    durations = prep.durations
+    if plans:
+        durations = [
+            plans[i].analytic_time_us
+            if i in plans and plans[i].steps else d
+            for i, d in enumerate(durations)
+        ]
+    order = _plan_order(cards[0], schedule, durations, t0, scheduler)
+    fabric_busy = 0.0
+    if hbm_contention:
+        events, stall_total = _fluid_execute_vector(
+            cards, schedule, order, t0,
+            prep=prep, fabric=fabric, plans=plans,
+        )
+        if fabric is not None:
+            fabric_busy = fabric.busy_us()
+    else:
+        events = _replay_symmetric(cards, schedule, order, durations, t0)
+        stall_total = 0.0
+    timeline = Timeline(events, name=schedule.graph.name, validate=False)
+    # every event ends exactly at its engine timeline's free_at, so the
+    # card clocks ARE the makespan (no 3k-event scan); with no events
+    # they sit at t0
+    total = max(card.now for card in cards)
+    return ExecutionResult(
+        timeline=timeline,
+        total_time_us=total - t0,
+        start_offset_us=t0,
+        schedule=schedule,
+        peak_hbm_bytes=schedule.memory.peak_bytes,
+        issue_order=order,
+        contention_stall_us=stall_total,
+        num_cards=len(cards),
+        exposed_comm_us=(
+            timeline.exposed_comm_us(card=0) if plans is not None else 0.0
+        ),
+        fabric_busy_us=fabric_busy,
+    )
+
+
+# -- issue-order planning -----------------------------------------------------
+
+
+def _plan_order(
+    device: GaudiDevice,
+    schedule: Schedule,
+    durations: list[float],
+    t0: float,
+    scheduler: str,
+) -> list[int]:
+    """Plan the issue order the ``scheduler`` policy prescribes.
+
+    ``device`` supplies the engine free times the plan starts from.
+    """
+    if scheduler == "inorder":
+        return [op.index for op in schedule.ops]
+    if scheduler == "reorder":
+        return _plan_reorder(device, schedule, durations, t0)
+    if scheduler == "lookahead":
+        return _plan_lookahead(device, schedule, durations, t0)
+    raise ExecutionError(
+        f"unknown scheduler {scheduler!r} "
+        "(expected 'inorder', 'reorder' or 'lookahead')"
+    )
+
+
+def _dep_graph(schedule: Schedule) -> tuple[list[list[int]], list[int]]:
+    """(consumers per op, number of distinct deps per op)."""
+    n = len(schedule.ops)
+    consumers_of: list[list[int]] = [[] for _ in range(n)]
+    blocked_by = [0] * n
+    for op in schedule.ops:
+        deps = set(op.deps)
+        blocked_by[op.index] = len(deps)
+        for dep in deps:
+            consumers_of[dep].append(op.index)
+    return consumers_of, blocked_by
+
+
+def _plan_reorder(
+    device: GaudiDevice, schedule: Schedule, durations: list[float], t0: float
+) -> list[int]:
+    """Greedy earliest-start issue order (ties by program order).
+
+    A lazy min-heap keyed on ``(earliest start, index)``: an entry's
+    key is computed against its engine's free time at push, which
+    only grows, so stored keys are lower bounds. Popping the min
+    and re-pushing when stale selects exactly the op the former
+    O(n²) ready-set scan selected, in O(n log n).
+    """
+    n = len(schedule.ops)
+    consumers_of, blocked_by = _dep_graph(schedule)
+    free = {
+        op.engine: device.timeline(op.engine).free_at
+        for op in schedule.ops
+    }
+    finish: dict[int, float] = {}
+    ready_time: dict[int, float] = {}
+    heap: list[tuple[float, int]] = []
+    for i in range(n):
+        if blocked_by[i] == 0:
+            ready_time[i] = t0
+            heapq.heappush(
+                heap, (max(t0, free[schedule.ops[i].engine]), i)
             )
+    order: list[int] = []
+    while len(order) < n:
+        if not heap:
+            raise ExecutionError(
+                "deadlock: no ready ops but schedule incomplete "
+                "(cyclic dependencies?)"
+            )
+        start, idx = heapq.heappop(heap)
+        op = schedule.ops[idx]
+        current = max(ready_time[idx], free[op.engine])
+        if current > start:
+            # the engine moved on since this key was computed
+            heapq.heappush(heap, (current, idx))
+            continue
+        ready_time.pop(idx)
+        finish[idx] = current + durations[idx]
+        free[op.engine] = finish[idx]
+        order.append(idx)
+        for consumer in consumers_of[idx]:
+            blocked_by[consumer] -= 1
+            if blocked_by[consumer] == 0:
+                r = max(
+                    (finish[d] for d in schedule.ops[consumer].deps),
+                    default=t0,
+                )
+                ready_time[consumer] = r
+                eng = schedule.ops[consumer].engine
+                heapq.heappush(heap, (max(r, free[eng]), consumer))
+    return order
+
+
+def _plan_lookahead(
+    device: GaudiDevice, schedule: Schedule, durations: list[float], t0: float
+) -> list[int]:
+    """Critical-path list scheduler with an MME-starvation tiebreak.
+
+    Priorities are *bottom levels* over the uncontended durations:
+    ``bottom[i] = dur[i] + max(bottom[consumer])`` — the length of
+    the longest chain still hanging off op ``i``. At each issue
+    decision the planner takes the earliest instant any engine can
+    start a ready op and, among the ops startable then, picks the
+    largest bottom level — except under *MME starvation*: when no
+    MME op is ready and the MME would run dry before a candidate
+    finished, other engines boost ops that feed the MME, cheapest
+    lead first. An op's *MME lead* is the minimum remaining
+    non-MME work (its own duration plus the cheapest downstream
+    path) before some MME op can start. The time-based lead
+    matters: on a row-sliced softmax pipeline every scale, exp,
+    and normalization slice transitively feeds the score@V
+    matmuls, but finishing ``sum``+``div`` of the oldest slice
+    (~4us of work) releases a matmul *now*, while another ``exp``
+    slice is three ops away — pure bottom-level priority drains
+    whole stages in lockstep and parks the MME for the duration.
+    The emitted order is topological (an op is issued only after
+    every producer), so it replays deadlock-free under both memory
+    models.
+    """
+    n = len(schedule.ops)
+    consumers_of, blocked_by = _dep_graph(schedule)
+    bottom = [0.0] * n
+    # cheapest remaining non-MME work before op i's completion can
+    # release some MME op (0.0 for MME work itself); inf marks
+    # "never reaches one"
+    no_path = math.inf
+    mme_lead = [no_path] * n
+    # schedule indices are topological, so one reverse sweep fills
+    # both the bottom levels and the lead-to-the-MME closure
+    for i in reversed(range(n)):
+        tail = max((bottom[c] for c in consumers_of[i]), default=0.0)
+        bottom[i] = durations[i] + tail
+        if schedule.ops[i].engine is EngineKind.MME:
+            mme_lead[i] = 0.0
         else:
-            events = self._replay(schedule, order, durations, start_offset)
-            stall_total = 0.0
-        timeline = Timeline(events, name=schedule.graph.name, validate=False)
-        # every event ends exactly at its engine timeline's free_at, so
-        # the device clock IS the makespan (no 3k-event scan)
-        total = self.device.now if events else start_offset
-        return ExecutionResult(
-            timeline=timeline,
-            total_time_us=total - start_offset,
-            start_offset_us=start_offset,
-            schedule=schedule,
-            peak_hbm_bytes=schedule.memory.peak_bytes,
-            issue_order=order,
-            contention_stall_us=stall_total,
-        )
-
-    # -- uncontended execution ------------------------------------------------
-
-    def _replay(
-        self,
-        schedule: Schedule,
-        order: list[int],
-        durations: list[float],
-        t0: float,
-    ) -> list[TraceEvent]:
-        """Issue ops in ``order`` with closed-form durations.
-
-        With ``order`` equal to program order this is the in-order
-        discipline; with a planned order it replays the reorder
-        schedule. Either way each op starts at
-        ``max(producers done, engine free)``.
-        """
-        finish: dict[int, float] = {}
-        events: list[TraceEvent] = []
-        for idx in order:
-            op = schedule.ops[idx]
-            ready = max((finish[d] for d in op.deps), default=t0)
-            interval = self.device.timeline(op.engine).reserve(
-                ready, durations[idx], op.label
-            )
-            event = TraceEvent(
-                name=op.label, engine=op.engine, start_us=interval.start,
-                dur_us=durations[idx], src=op.src, scope=op.scope,
-                flops=op.flops,
-            )
-            finish[idx] = event.end_us
-            events.append(event)
-        return events
-
-    # -- issue-order planning -------------------------------------------------
-
-    def _plan_order(
-        self,
-        schedule: Schedule,
-        durations: list[float],
-        t0: float,
-        scheduler: str,
-    ) -> list[int]:
-        """Plan the issue order the ``scheduler`` policy prescribes."""
-        if scheduler == "inorder":
-            return [op.index for op in schedule.ops]
-        if scheduler == "reorder":
-            return self._plan_reorder(schedule, durations, t0)
-        if scheduler == "lookahead":
-            return self._plan_lookahead(schedule, durations, t0)
-        raise ExecutionError(
-            f"unknown scheduler {scheduler!r} "
-            "(expected 'inorder', 'reorder' or 'lookahead')"
-        )
-
-    @staticmethod
-    def _dep_graph(
-        schedule: Schedule,
-    ) -> tuple[list[list[int]], list[int]]:
-        """(consumers per op, number of distinct deps per op)."""
-        n = len(schedule.ops)
-        consumers_of: list[list[int]] = [[] for _ in range(n)]
-        blocked_by = [0] * n
-        for op in schedule.ops:
-            deps = set(op.deps)
-            blocked_by[op.index] = len(deps)
-            for dep in deps:
-                consumers_of[dep].append(op.index)
-        return consumers_of, blocked_by
-
-    def _plan_reorder(
-        self, schedule: Schedule, durations: list[float], t0: float
-    ) -> list[int]:
-        """Greedy earliest-start issue order (ties by program order).
-
-        A lazy min-heap keyed on ``(earliest start, index)``: an entry's
-        key is computed against its engine's free time at push, which
-        only grows, so stored keys are lower bounds. Popping the min
-        and re-pushing when stale selects exactly the op the former
-        O(n²) ready-set scan selected, in O(n log n).
-        """
-        n = len(schedule.ops)
-        consumers_of, blocked_by = self._dep_graph(schedule)
-        free = {
-            op.engine: self.device.timeline(op.engine).free_at
-            for op in schedule.ops
-        }
-        finish: dict[int, float] = {}
-        ready_time: dict[int, float] = {}
-        heap: list[tuple[float, int]] = []
-        for i in range(n):
-            if blocked_by[i] == 0:
-                ready_time[i] = t0
-                heapq.heappush(
-                    heap, (max(t0, free[schedule.ops[i].engine]), i)
+            for c in consumers_of[i]:
+                d = (
+                    0.0
+                    if schedule.ops[c].engine is EngineKind.MME
+                    else durations[c] + mme_lead[c]
                 )
-        order: list[int] = []
-        while len(order) < n:
-            if not heap:
-                raise ExecutionError(
-                    "deadlock: no ready ops but schedule incomplete "
-                    "(cyclic dependencies?)"
-                )
-            start, idx = heapq.heappop(heap)
-            op = schedule.ops[idx]
-            current = max(ready_time[idx], free[op.engine])
-            if current > start:
-                # the engine moved on since this key was computed
-                heapq.heappush(heap, (current, idx))
+                if d < mme_lead[i]:
+                    mme_lead[i] = d
+    free = {
+        op.engine: device.timeline(op.engine).free_at
+        for op in schedule.ops
+    }
+    finish: dict[int, float] = {}
+    ready: dict[int, float] = {
+        i: t0 for i in range(n) if blocked_by[i] == 0
+    }
+    order: list[int] = []
+    while len(order) < n:
+        if not ready:
+            raise ExecutionError(
+                "deadlock: no ready ops but schedule incomplete "
+                "(cyclic dependencies?)"
+            )
+        t = min(
+            max(r, free[schedule.ops[i].engine])
+            for i, r in ready.items()
+        )
+        mme_free = free.get(EngineKind.MME, t0)
+        no_ready_mme = not any(
+            schedule.ops[i].engine is EngineKind.MME
+            and r <= t + _TIME_EPS_US
+            for i, r in ready.items()
+        )
+        best: int | None = None
+        best_key: tuple[int, float, float, int] | None = None
+        for i, r in ready.items():
+            op = schedule.ops[i]
+            if max(r, free[op.engine]) > t + _TIME_EPS_US:
                 continue
-            ready_time.pop(idx)
-            finish[idx] = current + durations[idx]
-            free[op.engine] = finish[idx]
-            order.append(idx)
-            for consumer in consumers_of[idx]:
-                blocked_by[consumer] -= 1
-                if blocked_by[consumer] == 0:
-                    r = max(
-                        (finish[d] for d in schedule.ops[consumer].deps),
-                        default=t0,
-                    )
-                    ready_time[consumer] = r
-                    eng = schedule.ops[consumer].engine
-                    heapq.heappush(heap, (max(r, free[eng]), consumer))
-        return order
-
-    def _plan_lookahead(
-        self, schedule: Schedule, durations: list[float], t0: float
-    ) -> list[int]:
-        """Critical-path list scheduler with an MME-starvation tiebreak.
-
-        Priorities are *bottom levels* over the uncontended durations:
-        ``bottom[i] = dur[i] + max(bottom[consumer])`` — the length of
-        the longest chain still hanging off op ``i``. At each issue
-        decision the planner takes the earliest instant any engine can
-        start a ready op and, among the ops startable then, picks the
-        largest bottom level — except under *MME starvation*: when no
-        MME op is ready and the MME would run dry before a candidate
-        finished, other engines boost ops that feed the MME, cheapest
-        lead first. An op's *MME lead* is the minimum remaining
-        non-MME work (its own duration plus the cheapest downstream
-        path) before some MME op can start. The time-based lead
-        matters: on a row-sliced softmax pipeline every scale, exp,
-        and normalization slice transitively feeds the score@V
-        matmuls, but finishing ``sum``+``div`` of the oldest slice
-        (~4us of work) releases a matmul *now*, while another ``exp``
-        slice is three ops away — pure bottom-level priority drains
-        whole stages in lockstep and parks the MME for the duration.
-        The emitted order is topological (an op is issued only after
-        every producer), so it replays deadlock-free under both memory
-        models.
-        """
-        n = len(schedule.ops)
-        consumers_of, blocked_by = self._dep_graph(schedule)
-        bottom = [0.0] * n
-        # cheapest remaining non-MME work before op i's completion can
-        # release some MME op (0.0 for MME work itself); inf marks
-        # "never reaches one"
-        no_path = math.inf
-        mme_lead = [no_path] * n
-        # schedule indices are topological, so one reverse sweep fills
-        # both the bottom levels and the lead-to-the-MME closure
-        for i in reversed(range(n)):
-            tail = max((bottom[c] for c in consumers_of[i]), default=0.0)
-            bottom[i] = durations[i] + tail
-            if schedule.ops[i].engine is EngineKind.MME:
-                mme_lead[i] = 0.0
-            else:
-                for c in consumers_of[i]:
-                    d = (
-                        0.0
-                        if schedule.ops[c].engine is EngineKind.MME
-                        else durations[c] + mme_lead[c]
-                    )
-                    if d < mme_lead[i]:
-                        mme_lead[i] = d
-        free = {
-            op.engine: self.device.timeline(op.engine).free_at
-            for op in schedule.ops
-        }
-        finish: dict[int, float] = {}
-        ready: dict[int, float] = {
-            i: t0 for i in range(n) if blocked_by[i] == 0
-        }
-        order: list[int] = []
-        while len(order) < n:
-            if not ready:
-                raise ExecutionError(
-                    "deadlock: no ready ops but schedule incomplete "
-                    "(cyclic dependencies?)"
-                )
-            t = min(
-                max(r, free[schedule.ops[i].engine])
-                for i, r in ready.items()
+            # anticipatory starvation: boost when the MME would go
+            # (or stay) dry before this candidate could finish
+            boost = int(
+                no_ready_mme
+                and op.engine is not EngineKind.MME
+                and mme_lead[i] < no_path
+                and mme_free <= t + durations[i] + _TIME_EPS_US
             )
-            mme_free = free.get(EngineKind.MME, t0)
-            no_ready_mme = not any(
-                schedule.ops[i].engine is EngineKind.MME
-                and r <= t + _TIME_EPS_US
-                for i, r in ready.items()
+            key = (
+                boost,
+                -(durations[i] + mme_lead[i]) if boost else 0.0,
+                bottom[i],
+                -i,
             )
-            best: int | None = None
-            best_key: tuple[int, float, float, int] | None = None
-            for i, r in ready.items():
-                op = schedule.ops[i]
-                if max(r, free[op.engine]) > t + _TIME_EPS_US:
-                    continue
-                # anticipatory starvation: boost when the MME would go
-                # (or stay) dry before this candidate could finish
-                boost = int(
-                    no_ready_mme
-                    and op.engine is not EngineKind.MME
-                    and mme_lead[i] < no_path
-                    and mme_free <= t + durations[i] + _TIME_EPS_US
+            if best_key is None or key > best_key:
+                best, best_key = i, key
+        assert best is not None  # t came from the ready set
+        op = schedule.ops[best]
+        start = max(ready.pop(best), free[op.engine])
+        finish[best] = start + durations[best]
+        free[op.engine] = finish[best]
+        order.append(best)
+        for consumer in consumers_of[best]:
+            blocked_by[consumer] -= 1
+            if blocked_by[consumer] == 0:
+                ready[consumer] = max(
+                    (finish[d] for d in schedule.ops[consumer].deps),
+                    default=t0,
                 )
-                key = (
-                    boost,
-                    -(durations[i] + mme_lead[i]) if boost else 0.0,
-                    bottom[i],
-                    -i,
-                )
-                if best_key is None or key > best_key:
-                    best, best_key = i, key
-            assert best is not None  # t came from the ready set
-            op = schedule.ops[best]
-            start = max(ready.pop(best), free[op.engine])
-            finish[best] = start + durations[best]
-            free[op.engine] = finish[best]
-            order.append(best)
-            for consumer in consumers_of[best]:
-                blocked_by[consumer] -= 1
-                if blocked_by[consumer] == 0:
-                    ready[consumer] = max(
-                        (finish[d] for d in schedule.ops[consumer].deps),
-                        default=t0,
-                    )
-        return order
+    return order
 
 
 class _SchedulePrep:
@@ -484,7 +498,7 @@ class _SchedulePrep:
             engine_ids.setdefault(op.engine, len(engine_ids)) for op in ops
         ]
         self.engines = list(engine_ids)
-        self.consumers_of, self.blocked_proto = Runtime._dep_graph(schedule)
+        self.consumers_of, self.blocked_proto = _dep_graph(schedule)
         # per-op TraceEvent field template: the seven fields that never
         # change across executions, pre-inserted so the vector loop's
         # finish path is one dict copy + four setitems (the copies own
@@ -834,16 +848,33 @@ def _replay_symmetric(
 ) -> list[TraceEvent]:
     """Uncontended closed-form replay on every card, card-major.
 
-    Collectives take their analytic duration, so the cards never
-    interact: every card runs the same deterministic replay, and ``t0 =
-    max(card.now)`` guarantees no twin reservation would clamp. Card 0
-    replays; each twin gets a copy of card 0's events with only
-    ``card`` changed, and card 0's new intervals mirrored onto its
-    timelines — the same events and intervals a replay per card builds.
+    Card 0 issues ops in ``order``, each starting at ``max(producers
+    done, engine free)`` — in program order this is the in-order
+    discipline, with a planned order it replays that plan. Collectives
+    take their analytic duration, so the cards never interact: every
+    card runs the same deterministic replay, and ``t0 = max(card.now)``
+    guarantees no twin reservation would clamp. Each twin gets a copy
+    of card 0's events with only ``card`` changed, and card 0's new
+    intervals mirrored onto its timelines — the same events and
+    intervals a replay per card builds. A single card mirrors nothing.
     """
     rep = cards[0]
     marks = {engine: tl.interval_count for engine, tl in rep.timelines.items()}
-    events = Runtime(rep)._replay(schedule, order, durations, t0)
+    finish: dict[int, float] = {}
+    events: list[TraceEvent] = []
+    for idx in order:
+        op = schedule.ops[idx]
+        ready = max((finish[d] for d in op.deps), default=t0)
+        interval = rep.timeline(op.engine).reserve(
+            ready, durations[idx], op.label
+        )
+        event = TraceEvent(
+            name=op.label, engine=op.engine, start_us=interval.start,
+            dur_us=durations[idx], src=op.src, scope=op.scope,
+            flops=op.flops,
+        )
+        finish[idx] = event.end_us
+        events.append(event)
     if len(cards) == 1:
         return events
     new_event = TraceEvent.__new__
@@ -1000,10 +1031,11 @@ class HLS1Runtime:
 
     Each card replays the same compiled schedule (same issue order) on
     its own clock and its own HBM arbiter; collective ops synchronize
-    the cards through the shared fabric. With ``num_cards=1`` the run
-    is byte-identical to :class:`Runtime` on a single
-    :class:`~repro.hw.device.GaudiDevice` — every collective plan is
-    empty, so the same code path executes the same arithmetic.
+    the cards through the shared fabric. It runs the same execute body
+    as :class:`Runtime`, adding the collective plans and the fabric;
+    with ``num_cards=1`` every plan is empty, so the trace is
+    byte-identical to a :class:`Runtime` on a single
+    :class:`~repro.hw.device.GaudiDevice`.
     """
 
     def __init__(self, system: HLS1Device | None = None):
@@ -1035,69 +1067,24 @@ class HLS1Runtime:
                 schedule, pinfo, scheduler=scheduler,
                 hbm_contention=hbm_contention,
             )
-        cards = self.system.cards
-        boxes = self.system.boxes
-        t0 = max(card.now for card in cards)
-        cost = cards[0].cost_model
-        plans = collective_plans(
-            schedule, self.system.num_cards, self.system.interconnect,
-            boxes=boxes,
-        )
-        prep = _schedule_prep(schedule, cost)
-        durations = [
-            plans[op.index].analytic_time_us
-            if op.index in plans and plans[op.index].steps
-            else prep.durations[op.index]
-            for op in schedule.ops
-        ]
-        order = Runtime(cards[0])._plan_order(
-            schedule, durations, t0, scheduler
-        )
-
-        fabric_busy = 0.0
-        if hbm_contention:
-            if boxes > 1:
-                # hierarchical plans route each step onto its tier; a
-                # single-box run keeps the historical flat arbiter so
-                # its traces stay byte-identical
-                fabric = TwoTierFabric(
-                    self.system.fabric_bandwidth,
-                    self.system.inter_fabric_bandwidth,
-                )
-            else:
-                fabric = BandwidthArbiter(
-                    self.system.fabric_bandwidth, shared=True
-                )
-            events, stall_total = _fluid_execute_vector(
-                cards, schedule, order, t0,
-                fabric=fabric, plans=plans, prep=prep,
+        system = self.system
+        if system.boxes > 1:
+            # hierarchical plans route each step onto its tier; a
+            # single-box run keeps the historical flat arbiter so its
+            # traces stay byte-identical
+            fabric = TwoTierFabric(
+                system.fabric_bandwidth, system.inter_fabric_bandwidth
             )
-            if boxes > 1:
-                fabric_busy = fabric.busy_us()
-            else:
-                fabric_busy = sum(
-                    seg.end_us - seg.start_us
-                    for seg in fabric.rate_log
-                    if seg.total_rate > 0
-                )
         else:
-            events = _replay_symmetric(cards, schedule, order, durations, t0)
-            stall_total = 0.0
-        timeline = Timeline(events, name=schedule.graph.name, validate=False)
-        # card clocks advance exactly to the last event end (see
-        # Runtime.execute); with no events they sit at t0
-        total = max(card.now for card in cards)
-        return ExecutionResult(
-            timeline=timeline,
-            total_time_us=total - t0,
-            start_offset_us=t0,
-            schedule=schedule,
-            peak_hbm_bytes=schedule.memory.peak_bytes,
-            issue_order=order,
-            contention_stall_us=stall_total,
-            num_cards=self.system.num_cards,
-            exposed_comm_us=timeline.exposed_comm_us(card=0),
-            fabric_busy_us=fabric_busy,
+            fabric = BandwidthArbiter(system.fabric_bandwidth, shared=True)
+        plans = collective_plans(
+            schedule, system.num_cards, system.interconnect,
+            boxes=system.boxes,
+        )
+        return _execute(
+            system.cards, schedule,
+            scheduler=scheduler, hbm_contention=hbm_contention,
+            plans=plans, fabric=fabric,
         )
 
     def _execute_pipelined(

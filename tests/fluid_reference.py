@@ -18,7 +18,7 @@ from repro.hw.bandwidth import BandwidthArbiter
 from repro.hw.costmodel import CostParts, EngineKind
 from repro.hw.device import GaudiDevice
 from repro.hw.interconnect import CollectivePlan
-from repro.synapse.runtime import _TIME_EPS_US, Runtime, op_cost_parts
+from repro.synapse.runtime import _TIME_EPS_US, _dep_graph, op_cost_parts
 from repro.synapse.schedule import Schedule
 from repro.synapse.trace import TraceEvent
 from repro.util.errors import ExecutionError
@@ -57,7 +57,7 @@ def _fluid_execute(
     arbiters = [BandwidthArbiter(bandwidth, shared=shared) for _ in cards]
     plans = plans or {}
     n = len(schedule.ops)
-    consumers_of, blocked_by_proto = Runtime._dep_graph(schedule)
+    consumers_of, blocked_by_proto = _dep_graph(schedule)
     blocked_by = [list(blocked_by_proto) for _ in cards]
 
     queues: dict[tuple[int, EngineKind], deque[int]] = {}

@@ -1,20 +1,25 @@
 """Tests for the command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
-from repro.synapse import (
-    default_compiler_options,
-    set_default_compiler_options,
-)
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
-@pytest.fixture
-def restore_compiler_defaults():
-    """Global CLI flags (``--backend``) set process-wide defaults."""
-    saved = default_compiler_options()
-    yield
-    set_default_compiler_options(saved)
+def _alone(argv):
+    """(exit code, stdout) of ``argv`` run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    return proc.returncode, proc.stdout
 
 
 class TestParser:
@@ -44,7 +49,7 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == "error: max_batch must be >= 1, got 0\n"
 
-    def test_serve_on_wse_backend(self, capsys, restore_compiler_defaults):
+    def test_serve_on_wse_backend(self, capsys):
         code = main(["--backend", "wse", "serve", "--requests", "50",
                      "--rate", "10"])
         assert code == 0
@@ -87,9 +92,7 @@ class TestMain:
         assert main(["decode"]) == 0
         assert main(["energy"]) == 0
 
-    def test_scheduler_flag_reaches_the_runtime(
-        self, capsys, restore_compiler_defaults
-    ):
+    def test_scheduler_flag_reaches_the_runtime(self, capsys):
         def fig4_6(*flags):
             code = main([*flags, "fig4-6"])
             return code, capsys.readouterr().out
@@ -106,3 +109,36 @@ class TestMain:
         assert main(["--scheduler", "lookahead", "sweep", "--model",
                      "layer:performer", "--policy", "default"]) == 0
         assert "| default | 64.04 " in capsys.readouterr().out
+
+    def test_infeasible_layout_grid_is_a_typed_error(self, capsys):
+        """A16 with no layout fitting the budget: one error line, exit 2."""
+        assert main(["--hbm-budget", "0.125", "ablation-parallel"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: every candidate layout for gpt")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestReentrancy:
+    """Invocations in one process behave as they do in a fresh one."""
+
+    @pytest.mark.parametrize("first, second", [
+        (["--hbm-budget", "8", "describe"], ["fig4-6"]),
+        (["--no-hbm-contention", "--cards", "2", "--jobs", "2", "scaling"],
+         ["scaling"]),
+        (["--scheduler", "lookahead", "--recipe-cache-dir", "{tmp}",
+          "sweep", "--model", "layer:performer", "--policy", "default"],
+         ["sweep", "--model", "layer:performer", "--policy", "default"]),
+    ])
+    def test_pair_matches_fresh_processes(
+        self, first, second, capsys, tmp_path
+    ):
+        def run(argv, where, how):
+            argv = [a.replace("{tmp}", str(tmp_path / where)) for a in argv]
+            return how(argv)
+
+        def in_process(argv):
+            code = main(argv)
+            return code, capsys.readouterr().out
+
+        together = [run(argv, "a", in_process) for argv in (first, second)]
+        assert together == [run(argv, "b", _alone) for argv in (first, second)]

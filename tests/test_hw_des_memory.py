@@ -1,51 +1,10 @@
-"""Unit + property tests for the DES core and memory tracker."""
+"""Unit + property tests for the DES core (engine timelines)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.hw import EngineTimeline, EventQueue, Interval, MemoryTracker
-from repro.hw.memory import plan_peak_bytes
-from repro.util.errors import DeviceMemoryError, ExecutionError
-
-
-class TestEventQueue:
-    def test_time_order(self):
-        q = EventQueue()
-        q.push(3.0, "c")
-        q.push(1.0, "a")
-        q.push(2.0, "b")
-        assert [q.pop()[1] for _ in range(3)] == ["a", "b", "c"]
-
-    def test_fifo_tie_break(self):
-        q = EventQueue()
-        q.push(1.0, "first")
-        q.push(1.0, "second")
-        assert q.pop()[1] == "first"
-        assert q.pop()[1] == "second"
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(ExecutionError):
-            EventQueue().pop()
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ExecutionError):
-            EventQueue().push(-1.0, "x")
-
-    def test_peek_and_len(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        assert not q
-        q.push(5.0, "x")
-        assert q.peek_time() == 5.0
-        assert len(q) == 1
-
-    @given(st.lists(st.floats(min_value=0, max_value=1e6), max_size=50))
-    def test_pops_always_sorted(self, times):
-        q = EventQueue()
-        for t in times:
-            q.push(t, None)
-        popped = [q.pop()[0] for _ in range(len(times))]
-        assert popped == sorted(popped)
+from repro.hw import EngineTimeline, Interval
+from repro.util.errors import ExecutionError
 
 
 class TestEngineTimeline:
@@ -120,86 +79,3 @@ class TestEngineTimeline:
         assert total_gap + tl.busy_time(horizon) == pytest.approx(
             horizon, abs=1e-6
         )
-
-
-class TestMemoryTracker:
-    def test_alloc_free_cycle(self):
-        mem = MemoryTracker(1000)
-        a = mem.alloc(400, "x")
-        assert mem.live_bytes == 400
-        mem.free(a)
-        assert mem.live_bytes == 0
-        assert mem.peak_bytes == 400
-
-    def test_oom_raises(self):
-        mem = MemoryTracker(1000)
-        mem.alloc(800)
-        with pytest.raises(DeviceMemoryError) as exc:
-            mem.alloc(300, "activations")
-        assert exc.value.capacity_bytes == 1000
-        assert "activations" in str(exc.value)
-
-    def test_enforce_false_allows_overflow(self):
-        mem = MemoryTracker(100, enforce=False)
-        mem.alloc(500)
-        assert mem.peak_bytes == 500
-
-    def test_double_free_rejected(self):
-        mem = MemoryTracker(100)
-        a = mem.alloc(10)
-        mem.free(a)
-        with pytest.raises(ValueError, match="double free"):
-            mem.free(a)
-
-    def test_headroom_and_would_fit(self):
-        mem = MemoryTracker(100)
-        mem.alloc(60)
-        assert mem.headroom_bytes() == 40
-        assert mem.would_fit(40)
-        assert not mem.would_fit(41)
-
-    def test_summary_and_reset(self):
-        mem = MemoryTracker(100)
-        mem.alloc(10)
-        s = mem.summary()
-        assert s["live_bytes"] == 10 and s["num_allocations"] == 1
-        mem.reset()
-        assert mem.summary()["peak_bytes"] == 0
-
-    @given(st.lists(st.integers(min_value=0, max_value=100), max_size=30))
-    def test_peak_at_least_live(self, sizes):
-        mem = MemoryTracker(10**9)
-        for s in sizes:
-            mem.alloc(s)
-        assert mem.peak_bytes == mem.live_bytes == sum(sizes)
-
-
-class TestPlanPeakBytes:
-    def test_simple_sequence(self):
-        # step0: +10; step1: +20, free 0; step2: +5, free 1
-        peak = plan_peak_bytes([10, 20, 5], [[], [0], [1]])
-        assert peak == 30
-
-    def test_all_live(self):
-        assert plan_peak_bytes([1, 2, 3], [[], [], []]) == 6
-
-    def test_double_free_rejected(self):
-        with pytest.raises(ValueError, match="double free"):
-            plan_peak_bytes([10, 5], [[0], [0]])
-
-    def test_future_free_rejected(self):
-        with pytest.raises(ValueError):
-            plan_peak_bytes([10, 5], [[1], []])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            plan_peak_bytes([10], [])
-
-    @given(st.lists(st.integers(min_value=0, max_value=50), max_size=20))
-    def test_peak_bounds(self, sizes):
-        frees = [[] for _ in sizes]
-        if sizes:
-            # free everything at the last step except the last buffer
-            frees[-1] = list(range(len(sizes) - 1))
-        peak = plan_peak_bytes(sizes, frees)
-        assert (max(sizes) if sizes else 0) <= peak <= sum(sizes)

@@ -26,7 +26,11 @@ from repro.synapse import (
     validate_no_engine_overlap,
 )
 from repro.synapse.recipe import RecipeCache
-from repro.synapse.runtime import collective_plans, op_duration_us
+from repro.synapse.runtime import (
+    _plan_order,
+    collective_plans,
+    op_duration_us,
+)
 
 
 def record_tiny_step(d: int = 16, layers: int = 2, batch: int = 4):
@@ -345,7 +349,7 @@ def _reference_uncontended(system, schedule, scheduler):
         else op_duration_us(cards[0].cost_model, op)
         for op in schedule.ops
     ]
-    order = Runtime(cards[0])._plan_order(schedule, durations, t0, scheduler)
+    order = _plan_order(cards[0], schedule, durations, t0, scheduler)
     rows = []
     for c, card in enumerate(cards):
         finish = {}

@@ -13,7 +13,12 @@ from repro import ht
 from repro.ht import functional as F
 from repro.hw.device import GaudiDevice
 from repro.synapse import GraphCompiler, Runtime
-from repro.synapse.runtime import op_duration_us
+from repro.synapse.runtime import (
+    _dep_graph,
+    _plan_reorder,
+    _replay_symmetric,
+    op_duration_us,
+)
 from repro.util.errors import ExecutionError
 from tests.test_property_compiler_runtime import (
     dims_strategy,
@@ -23,7 +28,7 @@ from tests.test_property_compiler_runtime import (
 
 
 def _plan_reorder_scan(
-    runtime: Runtime, schedule, durations: list[float], t0: float
+    device: GaudiDevice, schedule, durations: list[float], t0: float
 ) -> list[int]:
     """Reference O(n²) planner (the pre-heap implementation).
 
@@ -32,9 +37,9 @@ def _plan_reorder_scan(
     its selection byte for byte.
     """
     n = len(schedule.ops)
-    consumers_of, blocked_by = runtime._dep_graph(schedule)
+    consumers_of, blocked_by = _dep_graph(schedule)
     free = {
-        op.engine: runtime.device.timeline(op.engine).free_at
+        op.engine: device.timeline(op.engine).free_at
         for op in schedule.ops
     }
     finish: dict[int, float] = {}
@@ -74,8 +79,8 @@ def _plan_both(schedule):
         op_duration_us(runtime.device.cost_model, op) for op in schedule.ops
     ]
     t0 = runtime.device.now
-    heap = runtime._plan_reorder(schedule, durations, t0)
-    scan = _plan_reorder_scan(runtime, schedule, durations, t0)
+    heap = _plan_reorder(runtime.device, schedule, durations, t0)
+    scan = _plan_reorder_scan(runtime.device, schedule, durations, t0)
     return heap, scan
 
 
@@ -114,9 +119,12 @@ class TestHeapMatchesScan:
             for op in schedule.ops
         ]
         t0 = runtime.device.now
-        scan_order = _plan_reorder_scan(runtime, schedule, durations, t0)
-        ref = Runtime(GaudiDevice())
-        want = ref._replay(schedule, scan_order, durations, t0)
+        scan_order = _plan_reorder_scan(
+            runtime.device, schedule, durations, t0
+        )
+        want = _replay_symmetric(
+            [GaudiDevice()], schedule, scan_order, durations, t0
+        )
         got = Runtime(GaudiDevice()).execute(
             schedule, scheduler="reorder", hbm_contention=False
         ).timeline.events
