@@ -241,8 +241,6 @@ class InterconnectConfig:
 
     roce_bandwidth_bytes_per_s: float = 87.5e9  # 7x100GbE toward peers
     roce_latency_us: float = 2.0
-    pcie_bandwidth_bytes_per_s: float = 25.0e9  # Gen4 x16
-    pcie_latency_us: float = 5.0
     eth_bandwidth_bytes_per_s: float = 12.5e9  # 100GbE per box, inter-box
     eth_latency_us: float = 10.0
 
@@ -252,15 +250,10 @@ class InterconnectConfig:
             self.roce_bandwidth_bytes_per_s,
         )
         check_positive(
-            "InterconnectConfig.pcie_bandwidth_bytes_per_s",
-            self.pcie_bandwidth_bytes_per_s,
-        )
-        check_positive(
             "InterconnectConfig.eth_bandwidth_bytes_per_s",
             self.eth_bandwidth_bytes_per_s,
         )
         check_non_negative("InterconnectConfig.roce_latency_us", self.roce_latency_us)
-        check_non_negative("InterconnectConfig.pcie_latency_us", self.pcie_latency_us)
         check_non_negative("InterconnectConfig.eth_latency_us", self.eth_latency_us)
 
 

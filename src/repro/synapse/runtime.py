@@ -57,6 +57,9 @@ import dataclasses
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat
+from operator import add, itemgetter
 
 from ..hw.bandwidth import BandwidthArbiter, TwoTierFabric
 from ..hw.costmodel import CostModel, CostParts, EngineKind, WorkItem
@@ -70,7 +73,7 @@ from ..hw.interconnect import (
 )
 from ..util.errors import ExecutionError
 from .schedule import Schedule, ScheduledOp
-from .trace import Timeline, TraceEvent, fast_trace_event
+from .trace import Timeline, TraceEvent
 
 #: slack when deciding an event time has been reached (us)
 _TIME_EPS_US = 1e-9
@@ -229,6 +232,16 @@ def _execute(
         events = _replay_symmetric(cards, schedule, order, durations, t0)
         stall_total = 0.0
     timeline = Timeline(events, name=schedule.graph.name, validate=False)
+    exposed = 0.0
+    if plans is not None:
+        # card 0's events alone: the fluid loop emits them op-major
+        # (each op's cards adjacent, card 0 first), the replay card-major
+        ncards = len(cards)
+        card0 = (
+            events[::ncards] if hbm_contention
+            else events[:len(events) // ncards]
+        )
+        exposed = Timeline(card0, validate=False).exposed_comm_us()
     # every event ends exactly at its engine timeline's free_at, so the
     # card clocks ARE the makespan (no 3k-event scan); with no events
     # they sit at t0
@@ -242,11 +255,46 @@ def _execute(
         issue_order=order,
         contention_stall_us=stall_total,
         num_cards=len(cards),
-        exposed_comm_us=(
-            timeline.exposed_comm_us(card=0) if plans is not None else 0.0
-        ),
+        exposed_comm_us=exposed,
         fabric_busy_us=fabric_busy,
     )
+
+
+def _events_on(heads, cards) -> list[TraceEvent]:
+    """Events from card-less ``heads`` (an event's first ten fields)
+    and the matching ``cards`` (1-tuples), built in C:
+    ``tuple.__new__`` skips the named tuple's Python-level ``__new__``."""
+    return list(map(tuple.__new__, repeat(TraceEvent), map(add, heads, cards)))
+
+
+def _replicate(
+    heads: list[tuple],
+    twin_heads: list[tuple],
+    ncards: int,
+    *,
+    op_major: bool,
+) -> list[TraceEvent]:
+    """Every card's events: ``heads`` on card 0, ``twin_heads`` on each
+    of cards ``1..ncards-1``.
+
+    ``op_major`` interleaves them the way the fluid loop emits them
+    (each op's cards adjacent, card 0 first); otherwise the cards
+    follow each other, card 0 first, as the uncontended replay emits
+    them.
+    """
+    card0 = _events_on(heads, repeat((0,)))
+    if ncards == 1:
+        return card0
+    if op_major:
+        events = [None] * (len(card0) * ncards)
+        events[::ncards] = card0
+        for c in range(1, ncards):
+            events[c::ncards] = _events_on(twin_heads, repeat((c,)))
+    else:
+        events = card0
+        for c in range(1, ncards):
+            events += _events_on(twin_heads, repeat((c,)))
+    return events
 
 
 # -- issue-order planning -----------------------------------------------------
@@ -472,8 +520,8 @@ class _SchedulePrep:
 
     __slots__ = (
         "durations", "compute", "hbm", "serial", "nominal",
-        "cap", "labels", "srcs", "scopes", "eng", "engines",
-        "consumers_of", "blocked_proto", "protos",
+        "cap", "labels", "heads", "eng", "engines",
+        "consumers_of", "blocked_proto",
     )
 
     def __init__(self, schedule: Schedule, cost: CostModel):
@@ -489,8 +537,6 @@ class _SchedulePrep:
         ]
         self.cap = [p.rate_cap for p in parts]
         self.labels = [op.label for op in ops]
-        self.srcs = [op.src for op in ops]
-        self.scopes = [op.scope for op in ops]
         # engine index in first-appearance order (matches the order the
         # scalar loop's queue dict preserves)
         engine_ids: dict[EngineKind, int] = {}
@@ -499,17 +545,10 @@ class _SchedulePrep:
         ]
         self.engines = list(engine_ids)
         self.consumers_of, self.blocked_proto = _dep_graph(schedule)
-        # per-op TraceEvent field template: the seven fields that never
-        # change across executions, pre-inserted so the vector loop's
-        # finish path is one dict copy + four setitems (the copies own
-        # their storage — mutating one never touches the template)
-        self.protos = [
-            {
-                "name": op.label, "engine": op.engine, "start_us": 0.0,
-                "dur_us": 0.0, "src": op.src, "scope": op.scope,
-                "flops": op.flops, "hbm_bytes": p.hbm_bytes,
-                "hbm_gbps": 0.0, "contention_stall_us": 0.0, "card": 0,
-            }
+        # per-op event fields that never change across executions:
+        # (name, engine, src, scope, flops, hbm_bytes)
+        self.heads = [
+            (op.label, op.engine, op.src, op.scope, op.flops, p.hbm_bytes)
             for op, p in zip(ops, parts)
         ]
 
@@ -570,10 +609,11 @@ def _fluid_execute_vector(
       engine timeline ever clamps a reservation. The per-card dynamics
       are therefore one deterministic trajectory repeated N times — so
       this loop simulates one representative card (collectives join
-      all cards at once by symmetry) and replicates each emitted event
-      across cards in the heap order ``(t, idx, c)`` the scalar loop
-      pops them in. Stall accumulation repeats the same float additions
-      in the same sequence.
+      all cards at once by symmetry), records each of its events as a
+      card-less head, and after the loop builds every card's copies in
+      bulk (:func:`_replicate`), in the heap order ``(t, idx, c)`` the
+      scalar loop pops them in. Stall accumulation repeats the same
+      float additions in the same sequence.
     * **The event loop never needs to poll.** Per-op costs are hoisted
       into flat lists once (no ``CostParts`` attribute walks, no
       ``ScheduledOp.flops`` recomputation, no enum-keyed dicts in the
@@ -602,9 +642,7 @@ def _fluid_execute_vector(
     nominal_l = prep.nominal
     cap_l = prep.cap
     label_l = prep.labels
-    src_l = prep.srcs
-    scope_l = prep.scopes
-    proto_l = prep.protos
+    head_l = prep.heads
 
     # per-engine issue queues for the representative card, scanned in
     # the same first-appearance order the scalar loop's dict preserves
@@ -620,8 +658,6 @@ def _fluid_execute_vector(
     card_timelines = [
         [card.timelines[engine] for engine in engine_of] for card in cards
     ]
-    replicas = range(1, ncards)
-    new_event = TraceEvent.__new__
     # twin cards replay card 0's reservation stream in bulk after the
     # loop (the loop itself never reads a twin timeline)
     rep_timelines = card_timelines[0]
@@ -638,7 +674,10 @@ def _fluid_execute_vector(
     coll_join_at: dict[int, float] = {}
     coll_step: dict[int, int] = {}
     timers: list[tuple[float, int]] = []
-    events: list[TraceEvent] = []
+    # card 0's events as card-less heads, in finish order, and the
+    # twin cards' (collective copies carry no stall)
+    heads: list[tuple] = []
+    twin_heads: list[tuple] = []
     stall_total = 0.0
     done = 0
     now = t0
@@ -691,27 +730,14 @@ def _fluid_execute_vector(
         interval = rep_timelines[e].reserve_started(
             begun, duration, label_l[idx]
         )
-        # copy the op's prebuilt field template (the per-execution
-        # fields overwrite in place); each event's (empty) ``__dict__``
-        # then copies the copy, so bumping ``card`` between replicas is
-        # safe and no per-replica kwargs dict is ever built
-        proto = dict(proto_l[idx])
-        proto["start_us"] = interval.start
-        proto["dur_us"] = duration
-        proto["hbm_gbps"] = achieved_gbps
-        proto["contention_stall_us"] = stall
-        ev0 = new_event(TraceEvent)
-        ev0.__dict__.update(proto)
-        stall_total += stall
-        events.append(ev0)
-        for c in replicas:
-            # stall adds stay one-per-card, in card order, exactly as
-            # the scalar loop's per-card finish_op calls accumulate them
-            stall_total += stall
-            proto["card"] = c
-            ev = new_event(TraceEvent)
-            ev.__dict__.update(proto)
-            events.append(ev)
+        name, engine, src, scope, flops, hbm = head_l[idx]
+        head = (name, engine, interval.start, duration, src, scope,
+                flops, hbm, achieved_gbps, stall)
+        heads.append(head)
+        twin_heads.append(head)
+        # stall adds stay one-per-card, in card order, exactly as the
+        # scalar loop's per-card finish_op calls accumulate them
+        stall_total = reduce(add, repeat(stall, ncards), stall_total)
 
     def begin_drain(idx: int) -> None:
         plan = plans[idx]
@@ -746,22 +772,12 @@ def _fluid_execute_vector(
         begun = coll_join_at[idx]
         stall = max(0.0, (t - begun) - plan.analytic_time_us)
         stall_total += stall
-        label = label_l[idx]
-        interval = rep_timelines[e].reserve_started(begun, t - begun, label)
-        ev0 = fast_trace_event(
-            label, engine_of[e], begun, t - begun,
-            src=src_l[idx], scope=scope_l[idx],
-            contention_stall_us=stall, card=0,
-        )
-        events.append(ev0)
+        rep_timelines[e].reserve_started(begun, t - begun, label_l[idx])
+        name, engine, src, scope, _, _ = head_l[idx]
+        head = (name, engine, begun, t - begun, src, scope, 0.0, 0.0, 0.0)
+        heads.append(head + (stall,))
         # only card 0 carries the collective's stall attribution
-        proto = dict(ev0.__dict__)
-        proto["contention_stall_us"] = 0.0
-        for c in replicas:
-            proto["card"] = c
-            ev = new_event(TraceEvent)
-            ev.__dict__.update(proto)
-            events.append(ev)
+        twin_heads.append(head + (0.0,))
         for consumer in consumers_of[idx]:
             blocked[consumer] -= 1
         done += 1
@@ -834,8 +850,9 @@ def _fluid_execute_vector(
     for e, tl0 in enumerate(rep_timelines):
         added = tl0.intervals_since(marks[e])
         if added:
-            for c in replicas:
+            for c in range(1, ncards):
                 card_timelines[c][e].mirror_many(added)
+    events = _replicate(heads, twin_heads, ncards, op_major=True)
     return events, stall_total
 
 
@@ -861,31 +878,18 @@ def _replay_symmetric(
     rep = cards[0]
     marks = {engine: tl.interval_count for engine, tl in rep.timelines.items()}
     finish: dict[int, float] = {}
-    events: list[TraceEvent] = []
+    heads: list[tuple] = []
     for idx in order:
         op = schedule.ops[idx]
         ready = max((finish[d] for d in op.deps), default=t0)
-        interval = rep.timeline(op.engine).reserve(
-            ready, durations[idx], op.label
-        )
-        event = TraceEvent(
-            name=op.label, engine=op.engine, start_us=interval.start,
-            dur_us=durations[idx], src=op.src, scope=op.scope,
-            flops=op.flops,
-        )
-        finish[idx] = event.end_us
-        events.append(event)
+        duration = durations[idx]
+        interval = rep.timeline(op.engine).reserve(ready, duration, op.label)
+        heads.append((op.label, op.engine, interval.start, duration,
+                      op.src, op.scope, op.flops, 0.0, 0.0, 0.0))
+        finish[idx] = interval.start + duration
+    events = _replicate(heads, heads, len(cards), op_major=False)
     if len(cards) == 1:
         return events
-    new_event = TraceEvent.__new__
-    append = events.append
-    protos = [dict(ev.__dict__) for ev in events]
-    for c in range(1, len(cards)):
-        for proto in protos:
-            proto["card"] = c
-            ev = new_event(TraceEvent)
-            ev.__dict__.update(proto)
-            append(ev)
     for engine, tl in rep.timelines.items():
         added = tl.intervals_since(marks[engine])
         if added:
@@ -1142,7 +1146,6 @@ class HLS1Runtime:
         fabric_busy = 0.0
         exposed = 0.0
         kwargs = dict(scheduler=scheduler, hbm_contention=hbm_contention)
-        new_event = TraceEvent.__new__
         stages = _stage_schedules(schedule, pp, stage_of)
         for stage, (full, body) in enumerate(stages):
             # each run starts a fresh device slice at t=0, so the full
@@ -1161,11 +1164,13 @@ class HLS1Runtime:
                 stall_total += result.contention_stall_us
                 fabric_busy += result.fabric_busy_us
                 exposed = max(exposed, result.exposed_comm_us)
-                offset = stage * stage_cards
-                for ev in result.timeline.events:
-                    moved = new_event(TraceEvent)
-                    moved.__dict__.update(ev.__dict__, card=ev.card + offset)
-                    events.append(moved)
+                # re-card the stage's events onto its slice of the pool
+                stage_events = result.timeline.events
+                events += _events_on(
+                    map(itemgetter(slice(10)), stage_events),
+                    zip(map(add, map(itemgetter(10), stage_events),
+                            repeat(stage * stage_cards))),
+                )
             mb_times.append(t_mb)
             tail_times.append(max(0.0, t_full - t_mb))
         slot = max(mb_times) if mb_times else 0.0

@@ -12,16 +12,19 @@ run time per attention variant (Figs 5/6/7).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..hw.costmodel import EngineKind
 from ..hw.des import Interval
 from ..util.errors import ExecutionError
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One op execution on one engine."""
+class TraceEvent(NamedTuple):
+    """One op execution on one engine.
+
+    A named tuple: one compact record per event, immutable, hashable,
+    picklable, and equal to a plain tuple of the same values.
+    """
 
     name: str
     engine: EngineKind
@@ -46,39 +49,6 @@ class TraceEvent:
     def end_us(self) -> float:
         """Completion time."""
         return self.start_us + self.dur_us
-
-
-def fast_trace_event(
-    name: str,
-    engine: EngineKind,
-    start_us: float,
-    dur_us: float,
-    src: str = "",
-    scope: str = "",
-    flops: float = 0.0,
-    hbm_bytes: float = 0.0,
-    hbm_gbps: float = 0.0,
-    contention_stall_us: float = 0.0,
-    card: int = 0,
-) -> TraceEvent:
-    """Construct a :class:`TraceEvent` without the frozen-init tax.
-
-    A frozen dataclass assigns every field through
-    ``object.__setattr__``, which dominates when the fluid loop
-    emits tens of thousands of events per second. This helper fills the
-    instance ``__dict__`` directly — field for field identical to the
-    generated ``__init__`` (same names, same order, same defaults), so
-    equality, hashing, ``repr`` and ``dataclasses.replace`` behave
-    exactly the same.
-    """
-    ev = TraceEvent.__new__(TraceEvent)
-    ev.__dict__.update(
-        name=name, engine=engine, start_us=start_us, dur_us=dur_us,
-        src=src, scope=scope, flops=flops, hbm_bytes=hbm_bytes,
-        hbm_gbps=hbm_gbps, contention_stall_us=contention_stall_us,
-        card=card,
-    )
-    return ev
 
 
 class Timeline:
@@ -164,12 +134,16 @@ class Timeline:
         total = sum(hi - lo for lo, hi in nic)
         return total - _overlap_us(nic, compute)
 
-    def utilization(self, engine: EngineKind) -> float:
-        """busy / makespan for ``engine``."""
+    def utilization(self, engine: EngineKind, *, card: int = 0) -> float:
+        """busy / makespan for ``engine`` on ``card``."""
         total = self.total_time_us
         if total <= 0:
             return 0.0
-        return self.busy_time_us(engine) / total
+        busy = sum(
+            ev.dur_us for ev in self.events
+            if ev.engine is engine and ev.card == card
+        )
+        return busy / total
 
     def last_compute_end_us(self) -> float:
         """Completion time of the last MME/TPC event.
@@ -197,8 +171,10 @@ class Timeline:
             "(expected 'makespan' or 'last_compute')"
         )
 
-    def idle_us(self, engine: EngineKind, *, until: str = "makespan") -> float:
-        """Idle microseconds of ``engine`` within [0, horizon).
+    def idle_us(
+        self, engine: EngineKind, *, until: str = "makespan", card: int = 0
+    ) -> float:
+        """Idle microseconds of ``engine`` on ``card`` within [0, horizon).
 
         ``until="last_compute"`` stops the clock at the final MME/TPC
         completion instead of the trailing DMA drain — the horizon the
@@ -211,14 +187,14 @@ class Timeline:
         busy = sum(
             min(ev.end_us, horizon) - min(ev.start_us, horizon)
             for ev in self.events
-            if ev.engine is engine
+            if ev.engine is engine and ev.card == card
         )
         return max(0.0, horizon - busy)
 
     def idle_fraction(
-        self, engine: EngineKind, *, until: str = "makespan"
+        self, engine: EngineKind, *, until: str = "makespan", card: int = 0
     ) -> float:
-        """1 - utilization: the paper's 'blank areas' metric.
+        """1 - utilization on ``card``: the paper's 'blank areas' metric.
 
         By default measured over the full makespan (what the paper's
         figures show); ``until="last_compute"`` measures against the
@@ -227,13 +203,15 @@ class Timeline:
         """
         horizon = self._horizon_us(until)
         if horizon <= 0:
-            return 1.0 - self.utilization(engine)
-        return self.idle_us(engine, until=until) / horizon
+            return 1.0 - self.utilization(engine, card=card)
+        return self.idle_us(engine, until=until, card=card) / horizon
 
-    def gaps(self, engine: EngineKind, *, min_dur_us: float = 0.0) -> list[Interval]:
-        """Idle intervals of ``engine`` within [0, makespan)."""
+    def gaps(
+        self, engine: EngineKind, *, min_dur_us: float = 0.0, card: int = 0
+    ) -> list[Interval]:
+        """Idle intervals of ``engine`` on ``card`` within [0, makespan)."""
         horizon = self.total_time_us
-        events = self.engine_events(engine)
+        events = self.engine_events(engine, card=card)
         out: list[Interval] = []
         cursor = 0.0
         for ev in events:

@@ -332,6 +332,61 @@ class TestMultiCardGoldens:
         }
 
 
+class TestCardReplicas:
+    """Cards replay one trajectory: every card's events are copies of
+    its representative's (card 0, or a pipeline stage's first card)."""
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_DIGESTS))
+    def test_copies_of_the_representative(self, gpt_schedules, key):
+        sched, system_name, policy = key.split("/")
+        system = HLS1Device(HLS1Config(**GOLDEN_SYSTEMS[system_name]))
+        result = HLS1Runtime(system).execute(
+            gpt_schedules[sched], **GOLDEN_POLICIES[policy]
+        )
+        timeline = result.timeline
+        pp = GOLDEN_SCHEDULES[sched].get("pp", 1)
+        stage_cards = system.num_cards // pp
+        by_card = {c: [] for c in timeline.cards()}
+        for ev in timeline.events:
+            by_card[ev.card].append(ev)
+        assert list(by_card) == list(range(system.num_cards))
+        for c, events in by_card.items():
+            rep = by_card[c - c % stage_cards]
+            assert len(events) == len(rep)
+            for ev, ev0 in zip(events, rep):
+                if c % stage_cards and ev.engine is EngineKind.NIC:
+                    # collective copies carry no stall attribution
+                    assert ev.contention_stall_us == 0.0
+                    ev0 = ev0._replace(contention_stall_us=0.0)
+                assert ev == ev0._replace(card=c)
+        # exposed communication is card 0's (the worst stage's first
+        # card's on a pipelined run)
+        assert result.exposed_comm_us == max(
+            timeline.exposed_comm_us(card=c)
+            for c in range(0, system.num_cards, stage_cards)
+        )
+
+    def test_occupancy_is_per_card(self, gpt_schedules):
+        system = HLS1Device(HLS1Config(num_cards=8))
+        timeline = HLS1Runtime(system).execute(
+            gpt_schedules["gpt-ddp"]
+        ).timeline
+        for engine in (EngineKind.MME, EngineKind.TPC, EngineKind.NIC):
+            util = {
+                timeline.utilization(engine, card=c) for c in range(8)
+            }
+            idle = {
+                timeline.idle_fraction(engine, card=c) for c in range(8)
+            }
+            gaps = {
+                tuple(timeline.gaps(engine, card=c)) for c in range(8)
+            }
+            assert len(util) == len(idle) == len(gaps) == 1
+            (u,), (i,) = util, idle
+            assert 0.0 < u <= 1.0
+            assert i == pytest.approx(1.0 - u)
+
+
 # -- uncontended execution against a per-card replay --------------------------
 
 
