@@ -62,6 +62,7 @@ from ..util.errors import (
     DeviceMemoryError,
     ExecutionError,
 )
+from ..util.gc_pause import gc_paused
 from ..util.rng import make_rng
 from ..util.tabulate import render_table
 from .reference import ShapeCheck, threshold_check
@@ -478,6 +479,7 @@ class ServingSimulator:
 
     # -- policies -----------------------------------------------------------
 
+    @gc_paused()
     def run(self, requests: list[Request], policy: str) -> "ServingResult":
         """Serve fresh copies of ``requests`` (arrival order) under
         ``policy``; the inputs are never mutated."""

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Any
 from ..hw.dtypes import DType
 from ..synapse.graph import Graph, TensorValue
 from ..util.errors import GraphError
+from ..util.gc_pause import gc_paused
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .tensor import Parameter, Tensor
@@ -143,11 +144,16 @@ def has_active() -> bool:
 
 @contextlib.contextmanager
 def record(name: str = "graph", mode: str = "concrete"):
-    """Open a recording context and yield its :class:`Recorder`."""
+    """Open a recording context and yield its :class:`Recorder`.
+
+    The body runs under :func:`~repro.util.gc_pause.gc_paused`:
+    recording builds nodes and values that hold no reference cycles.
+    """
     rec = Recorder(name, mode)
     _STACK.append(rec)
     try:
-        yield rec
+        with gc_paused():
+            yield rec
     finally:
         popped = _STACK.pop()
         assert popped is rec, "recorder stack corrupted"

@@ -59,6 +59,7 @@ from dataclasses import dataclass
 from ..hw.backend import get_backend
 from ..hw.config import GaudiConfig
 from ..util.errors import GraphError
+from ..util.gc_pause import gc_paused
 from .graph import Graph
 from .passes import PASS_OPTION_FLAGS, PassManager, default_passes
 from .recipe import RecipeCache, recipe_key_from_signature, signatures
@@ -243,6 +244,7 @@ class GraphCompiler:
 
     # -- public ------------------------------------------------------------
 
+    @gc_paused()
     def compile(self, graph: Graph) -> Schedule:
         """Run the pass pipeline; raises on invalid graphs / OOM.
 

@@ -72,6 +72,7 @@ from ..hw.interconnect import (
     scale_plan,
 )
 from ..util.errors import ExecutionError
+from ..util.gc_pause import gc_paused
 from .schedule import Schedule, ScheduledOp
 from .trace import Timeline, TraceEvent
 
@@ -170,6 +171,7 @@ class Runtime:
     def __init__(self, device: GaudiDevice | None = None):
         self.device = device or GaudiDevice()
 
+    @gc_paused()
     def execute(
         self,
         schedule: Schedule,
@@ -219,7 +221,10 @@ def _execute(
             if i in plans and plans[i].steps else d
             for i, d in enumerate(durations)
         ]
-    order = _plan_order(cards[0], schedule, durations, t0, scheduler)
+    order = _plan_order(
+        cards[0], schedule, durations, t0, scheduler,
+        prep.consumers_of, prep.blocked_proto,
+    )
     fabric_busy = 0.0
     if hbm_contention:
         events, stall_total = _fluid_execute_vector(
@@ -306,17 +311,26 @@ def _plan_order(
     durations: list[float],
     t0: float,
     scheduler: str,
+    consumers_of: list[list[int]],
+    blocked_proto: list[int],
 ) -> list[int]:
     """Plan the issue order the ``scheduler`` policy prescribes.
 
-    ``device`` supplies the engine free times the plan starts from.
+    ``device`` supplies the engine free times the plan starts from;
+    ``consumers_of`` and ``blocked_proto`` are the schedule's
+    dependency graph (:func:`_dep_graph`, cached on the prep), which
+    the planners read without mutating.
     """
     if scheduler == "inorder":
         return [op.index for op in schedule.ops]
     if scheduler == "reorder":
-        return _plan_reorder(device, schedule, durations, t0)
+        return _plan_reorder(
+            device, schedule, durations, t0, consumers_of, blocked_proto
+        )
     if scheduler == "lookahead":
-        return _plan_lookahead(device, schedule, durations, t0)
+        return _plan_lookahead(
+            device, schedule, durations, t0, consumers_of, blocked_proto
+        )
     raise ExecutionError(
         f"unknown scheduler {scheduler!r} "
         "(expected 'inorder', 'reorder' or 'lookahead')"
@@ -337,7 +351,12 @@ def _dep_graph(schedule: Schedule) -> tuple[list[list[int]], list[int]]:
 
 
 def _plan_reorder(
-    device: GaudiDevice, schedule: Schedule, durations: list[float], t0: float
+    device: GaudiDevice,
+    schedule: Schedule,
+    durations: list[float],
+    t0: float,
+    consumers_of: list[list[int]],
+    blocked_proto: list[int],
 ) -> list[int]:
     """Greedy earliest-start issue order (ties by program order).
 
@@ -348,7 +367,7 @@ def _plan_reorder(
     O(n²) ready-set scan selected, in O(n log n).
     """
     n = len(schedule.ops)
-    consumers_of, blocked_by = _dep_graph(schedule)
+    blocked_by = list(blocked_proto)
     free = {
         op.engine: device.timeline(op.engine).free_at
         for op in schedule.ops
@@ -394,7 +413,12 @@ def _plan_reorder(
 
 
 def _plan_lookahead(
-    device: GaudiDevice, schedule: Schedule, durations: list[float], t0: float
+    device: GaudiDevice,
+    schedule: Schedule,
+    durations: list[float],
+    t0: float,
+    consumers_of: list[list[int]],
+    blocked_proto: list[int],
 ) -> list[int]:
     """Critical-path list scheduler with an MME-starvation tiebreak.
 
@@ -420,7 +444,7 @@ def _plan_lookahead(
     models.
     """
     n = len(schedule.ops)
-    consumers_of, blocked_by = _dep_graph(schedule)
+    blocked_by = list(blocked_proto)
     bottom = [0.0] * n
     # cheapest remaining non-MME work before op i's completion can
     # release some MME op (0.0 for MME work itself); inf marks
@@ -1045,6 +1069,7 @@ class HLS1Runtime:
     def __init__(self, system: HLS1Device | None = None):
         self.system = system or HLS1Device()
 
+    @gc_paused()
     def execute(
         self,
         schedule: Schedule,

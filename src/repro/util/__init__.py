@@ -1,4 +1,5 @@
-"""Shared utilities: errors, units, validation, tables, RNG streams."""
+"""Shared utilities: errors, units, validation, tables, RNG streams and
+the garbage-collector pause."""
 
 from .errors import (
     AutogradError,
@@ -12,6 +13,7 @@ from .errors import (
     ReproError,
     ShapeError,
 )
+from .gc_pause import gc_paused
 from .rng import DEFAULT_SEED, derive, make_rng
 from .tabulate import render_kv, render_table
 from .units import (
@@ -49,6 +51,7 @@ __all__ = [
     "KernelError",
     "ReproError",
     "ShapeError",
+    "gc_paused",
     "DEFAULT_SEED",
     "derive",
     "make_rng",

@@ -30,8 +30,8 @@ class TestSeqSweep:
 
 class TestFullStudy:
     @pytest.fixture(scope="class")
-    def report(self):
-        return run_full_study()
+    def report(self, full_study):
+        return full_study[0]
 
     def test_all_shape_checks_pass(self, report):
         failed = [str(c) for c in report.failed_checks()]

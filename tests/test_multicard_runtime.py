@@ -27,6 +27,7 @@ from repro.synapse import (
 )
 from repro.synapse.recipe import RecipeCache
 from repro.synapse.runtime import (
+    _dep_graph,
     _plan_order,
     collective_plans,
     op_duration_us,
@@ -404,7 +405,9 @@ def _reference_uncontended(system, schedule, scheduler):
         else op_duration_us(cards[0].cost_model, op)
         for op in schedule.ops
     ]
-    order = _plan_order(cards[0], schedule, durations, t0, scheduler)
+    order = _plan_order(
+        cards[0], schedule, durations, t0, scheduler, *_dep_graph(schedule)
+    )
     rows = []
     for c, card in enumerate(cards):
         finish = {}

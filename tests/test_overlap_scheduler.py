@@ -22,7 +22,7 @@ from repro.synapse import (
     execute_schedule,
     lint_graph,
 )
-from repro.synapse.runtime import _plan_reorder, op_duration_us
+from repro.synapse.runtime import _dep_graph, _plan_reorder, op_duration_us
 from repro.util.errors import ExecutionError
 
 #: slicing forced on regardless of the cost model's profitability bar
@@ -127,7 +127,9 @@ class TestSchedulerPolicies:
         runtime = Runtime(GaudiDevice())
         cost = runtime.device.cost_model
         durations = [op_duration_us(cost, op) for op in schedule.ops]
-        greedy = _plan_reorder(runtime.device, schedule, durations, 0.0)
+        greedy = _plan_reorder(
+            runtime.device, schedule, durations, 0.0, *_dep_graph(schedule)
+        )
         new = runtime.execute(schedule, scheduler="reorder")
         assert list(new.issue_order) == greedy
         assert new.issue_order != [op.index for op in schedule.ops]

@@ -79,7 +79,9 @@ def _plan_both(schedule):
         op_duration_us(runtime.device.cost_model, op) for op in schedule.ops
     ]
     t0 = runtime.device.now
-    heap = _plan_reorder(runtime.device, schedule, durations, t0)
+    heap = _plan_reorder(
+        runtime.device, schedule, durations, t0, *_dep_graph(schedule)
+    )
     scan = _plan_reorder_scan(runtime.device, schedule, durations, t0)
     return heap, scan
 

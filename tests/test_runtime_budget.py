@@ -9,7 +9,7 @@ magnitude regressions, not to be flaky.
 
 import time
 
-from repro.core import run_attention_study, run_full_study
+from repro.core import run_attention_study
 
 
 def test_attention_study_under_ten_seconds():
@@ -18,9 +18,7 @@ def test_attention_study_under_ten_seconds():
     assert time.monotonic() - start < 10.0
 
 
-def test_full_study_under_ninety_seconds():
-    start = time.monotonic()
-    report = run_full_study()
-    elapsed = time.monotonic() - start
+def test_full_study_under_ninety_seconds(full_study):
+    report, elapsed = full_study
     assert report.all_passed
     assert elapsed < 90.0, f"full study took {elapsed:.1f}s"
