@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro import ht
 from repro.core.e2e_llm import record_training_step
 from repro.ht import functional as F
+from repro.hw.backend import get_backend
 from repro.hw.config import HLS1Config
 from repro.hw.costmodel import EngineKind
 from repro.hw.device import GaudiDevice, HLS1Device
@@ -207,21 +208,47 @@ def _trace_rows(events):
     ]
 
 
-def _card_intervals(system):
+GAUDI_ENGINES = get_backend("gaudi").engines
+
+
+def _card_intervals(result, engines=GAUDI_ENGINES):
+    """Each card's per-engine ``(start, end, name)`` busy intervals,
+    derived from the trace: cards ``0..num_cards-1``, ``engines`` in
+    backend order, events in list order. A pipelined execute runs its
+    stages on fresh device slices, so the executing system's cards
+    hold no intervals of it."""
+    pinfo = result.schedule.stats.get("pipeline")
+    pipelined = bool(pinfo) and int(pinfo.get("pp", 1) or 1) > 1
+    per = {
+        (c, engine): [] for c in range(result.num_cards) for engine in engines
+    }
+    if not pipelined:
+        for ev in result.timeline.events:
+            per[ev.card, ev.engine].append(
+                (ev.start_us, ev.start_us + ev.dur_us, ev.name)
+            )
+    return [
+        (c, engine.value, per[c, engine])
+        for c in range(result.num_cards)
+        for engine in engines
+    ]
+
+
+def _ledger_intervals(cards):
     return [
         (c, engine.value,
          [(iv.start, iv.end, iv.label) for iv in tl.intervals])
-        for c, card in enumerate(system.cards)
+        for c, card in enumerate(cards)
         for engine, tl in card.timelines.items()
     ]
 
 
-def _trace_digest(result, system) -> str:
+def _trace_digest(result, engines=GAUDI_ENGINES) -> str:
     """SHA-256 over every event in list order, each card's per-engine
-    timeline intervals and the makespan."""
+    busy intervals and the makespan."""
     payload = repr((
         _trace_rows(result.timeline.events),
-        _card_intervals(system),
+        _card_intervals(result, engines),
         result.total_time_us,
     ))
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -322,7 +349,8 @@ class TestMultiCardGoldens:
         result = HLS1Runtime(system).execute(
             gpt_schedules[sched], **GOLDEN_POLICIES[policy]
         )
-        assert _trace_digest(result, system) == GOLDEN_DIGESTS[key]
+        assert _card_intervals(result) == _ledger_intervals(system.cards)
+        assert _trace_digest(result) == GOLDEN_DIGESTS[key]
 
     def test_goldens_cover_the_grid(self):
         assert set(GOLDEN_DIGESTS) == {
@@ -457,7 +485,7 @@ class TestUncontendedReference:
             rows, total = _reference_uncontended(oracle, schedule, scheduler)
             assert _trace_rows(result.timeline.events) == rows
             assert result.total_time_us == total
-            assert _card_intervals(system) == _card_intervals(oracle)
+            assert _ledger_intervals(system.cards) == _ledger_intervals(oracle.cards)
 
 
 class TestPipelinedExecute:
@@ -465,16 +493,16 @@ class TestPipelinedExecute:
         system = HLS1Device(HLS1Config(num_cards=8))
         runtime = HLS1Runtime(system)
         runtime.execute(gpt_schedules["gpt-ddp"])
-        clocks = _card_intervals(system)
+        clocks = _ledger_intervals(system.cards)
         now = system.now
         first = runtime.execute(gpt_schedules["gpt-pp2"])
         second = runtime.execute(gpt_schedules["gpt-pp2"])
         # the system's card clocks stay where the DDP step left them
         assert system.now == now
-        assert _card_intervals(system) == clocks
+        assert _ledger_intervals(system.cards) == clocks
         for result in (first, second):
             assert result.issue_order == []
             assert result.start_offset_us == 0.0
             assert min(ev.start_us for ev in result.timeline.events) == 0.0
             assert result.timeline.cards() == list(range(8))
-        assert _trace_digest(first, system) == _trace_digest(second, system)
+        assert _trace_digest(first) == _trace_digest(second)

@@ -10,8 +10,6 @@ and the GPT step's default recipe key pin the disk-cache keys: option
 fields may come and go, but a stored recipe must still be found.
 """
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.core.ablations import _layer_graph
@@ -20,7 +18,11 @@ from repro.hw.backend import get_backend
 from repro.hw.config import GaudiConfig
 from repro.synapse import CompilerOptions, GraphCompiler, Runtime
 from repro.synapse.recipe import RecipeCache, options_signature, recipe_key
-from tests.test_multicard_runtime import _trace_digest
+from tests.test_multicard_runtime import (
+    _card_intervals,
+    _ledger_intervals,
+    _trace_digest,
+)
 
 WORKLOADS = {
     "softmax": lambda: _layer_graph("softmax"),
@@ -92,7 +94,9 @@ def test_golden_digest(graphs, key):
     result = Runtime(device).execute(
         schedule, scheduler=policy, hbm_contention=CONTENTION[contention]
     )
-    digest = _trace_digest(result, SimpleNamespace(cards=[device]))
+    engines = get_backend(backend).engines
+    assert _card_intervals(result, engines) == _ledger_intervals([device])
+    digest = _trace_digest(result, engines)
     assert digest[:16] == GOLDEN_DIGESTS[key]
 
 
