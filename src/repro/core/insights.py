@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..hw.costmodel import EngineKind
-from ..hw.des import Interval
-from ..synapse.trace import Timeline
+from ..synapse.trace import Interval, Timeline
 from ..util.units import fmt_time_us
 
 

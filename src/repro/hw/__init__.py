@@ -39,7 +39,6 @@ from .costmodel import (
     WorkItem,
     tpc_matmul_cycles,
 )
-from .des import EngineTimeline, Interval
 from .energy import (
     EnergyBreakdown,
     EnergyConfig,
@@ -96,8 +95,6 @@ __all__ = [
     "EnergyConfig",
     "joules_per_token",
     "schedule_energy",
-    "EngineTimeline",
-    "Interval",
     "GaudiDevice",
     "default_device",
     "DType",

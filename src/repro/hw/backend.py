@@ -54,7 +54,7 @@ class Backend:
 
     #: registry key and the ``CompilerOptions.backend`` value
     name: str = ""
-    #: engine timelines a device of this backend exposes, in trace order
+    #: engines a device of this backend runs ops on, in trace order
     engines: tuple[EngineKind, ...] = ()
     #: engine that runs matmul-class work
     matmul_engine: EngineKind = EngineKind.MME
@@ -115,7 +115,7 @@ class Backend:
         raise NotImplementedError
 
     def make_device(self, config=None):
-        """A fresh device with this backend's engine timelines."""
+        """A fresh device (cost model plus clock) for this backend."""
         raise NotImplementedError
 
     # -- lowering / validation hooks ----------------------------------------

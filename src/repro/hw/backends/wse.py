@@ -40,7 +40,6 @@ from ...util.units import s_to_us
 from ..backend import Backend
 from ..config import GIB, DMAConfig
 from ..costmodel import CostParts, DMAModel, EngineKind, MatmulDims, OpClass, WorkItem
-from ..des import EngineTimeline
 from ..dtypes import DType, itemsize
 from ...util.validation import (
     check_fraction,
@@ -364,38 +363,14 @@ class WSECostModel:
 
 
 class WSEDevice:
-    """One simulated wafer-scale engine (GaudiDevice twin)."""
+    """One simulated wafer-scale engine (GaudiDevice twin): its cost
+    model and its clock."""
 
     def __init__(self, config: WSEConfig | None = None):
         self.config = config or WSEConfig()
         self.cost_model = WSECostModel(self.config)
-        self.timelines: dict[EngineKind, EngineTimeline] = {
-            EngineKind.PE: EngineTimeline("PE"),
-            EngineKind.DMA: EngineTimeline("DMA"),
-            EngineKind.HOST: EngineTimeline("HOST"),
-            EngineKind.NIC: EngineTimeline("NIC"),
-        }
-
-    @property
-    def now(self) -> float:
-        """Device clock: the latest completion time across engines."""
-        return max(tl.free_at for tl in self.timelines.values())
-
-    def timeline(self, engine: EngineKind) -> EngineTimeline:
-        """The busy-interval ledger of ``engine``."""
-        return self.timelines[engine]
-
-    def reset(self) -> None:
-        """Clear all engine timelines."""
-        for tl in self.timelines.values():
-            tl.reset()
-
-    def utilization(
-        self, engine: EngineKind, horizon: float | None = None
-    ) -> float:
-        """Fraction of time ``engine`` was busy up to ``horizon``."""
-        horizon = self.now if horizon is None else horizon
-        return self.timelines[engine].utilization(horizon)
+        #: device clock: the latest completion time of any executed op
+        self.now = 0.0
 
     def describe(self) -> str:
         """One-line summary for logs and reports."""

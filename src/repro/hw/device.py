@@ -1,53 +1,31 @@
 """Device objects: a simulated Gaudi card and an HLS-1 system.
 
-A :class:`GaudiDevice` bundles the per-engine timelines and the cost
-model; an :class:`HLS1Device` is N of them behind the shared fabric.
-The synapse runtime executes compiled schedules *onto* a device; the
-device owns all mutable simulation state so one device can run many
-graphs back to back (its clock keeps advancing) or be reset between
-experiments. HBM capacity is enforced at compile time by the memory
-planner (:mod:`repro.synapse.passes.memory`), not by the device.
+A device is a cost model plus a clock. A :class:`GaudiDevice` prices
+work on one card and keeps that card's clock; an :class:`HLS1Device`
+is N identical cards behind the shared fabric, so it holds one card
+device (whose cost model prices every card and whose clock is the
+population's) plus the population shape. The synapse runtime executes
+compiled schedules *onto* a device and advances its clock, so one
+device can run many graphs back to back; what ran is recorded only in
+the returned trace (:class:`~repro.synapse.trace.Timeline`). HBM
+capacity is enforced at compile time by the memory planner
+(:mod:`repro.synapse.passes.memory`), not by the device.
 """
 
 from __future__ import annotations
 
 from .config import GaudiConfig, HLS1Config
-from .costmodel import CostModel, EngineKind
-from .des import EngineTimeline
+from .costmodel import CostModel
 
 
 class GaudiDevice:
-    """One simulated Gaudi processor."""
+    """One simulated Gaudi processor: its cost model and its clock."""
 
     def __init__(self, config: GaudiConfig | None = None):
         self.config = config or GaudiConfig()
         self.cost_model = CostModel(self.config)
-        self.timelines: dict[EngineKind, EngineTimeline] = {
-            EngineKind.MME: EngineTimeline("MME"),
-            EngineKind.TPC: EngineTimeline("TPC"),
-            EngineKind.DMA: EngineTimeline("DMA"),
-            EngineKind.HOST: EngineTimeline("HOST"),
-            EngineKind.NIC: EngineTimeline("NIC"),
-        }
-
-    @property
-    def now(self) -> float:
-        """Device clock: the latest completion time across engines."""
-        return max(tl.free_at for tl in self.timelines.values())
-
-    def timeline(self, engine: EngineKind) -> EngineTimeline:
-        """The busy-interval ledger of ``engine``."""
-        return self.timelines[engine]
-
-    def reset(self) -> None:
-        """Clear all engine timelines."""
-        for tl in self.timelines.values():
-            tl.reset()
-
-    def utilization(self, engine: EngineKind, horizon: float | None = None) -> float:
-        """Fraction of time ``engine`` was busy up to ``horizon``."""
-        horizon = self.now if horizon is None else horizon
-        return self.timelines[engine].utilization(horizon)
+        #: device clock: the latest completion time of any executed op
+        self.now = 0.0
 
     def describe(self) -> str:
         """One-line summary for logs and reports."""
@@ -67,26 +45,25 @@ class HLS1Device:
 
     The paper runs on a single card of an HLS-1 (§3.1); this is what
     the multi-card runtime executes onto: every card replays the same
-    data-parallel schedule on its own clock, and collective ops
-    synchronize the clocks through the fabric. With ``boxes=1`` the
-    fabric is the flat pool of ``num_cards`` ring links; multi-box
-    configs add the inter-box Ethernet tier
-    (``inter_fabric_bandwidth``) and the card population becomes
-    ``boxes x cards_per_box`` — card index ``i`` is
+    data-parallel schedule, and collective ops synchronize the cards
+    through the fabric. The cards are identical and start every
+    execute together, so one :class:`GaudiDevice` (``card_device``)
+    stands for all of them: its cost model prices every card and its
+    clock is the population's. With ``boxes=1`` the fabric is the flat
+    pool of ``num_cards`` ring links; multi-box configs add the
+    inter-box Ethernet tier (``inter_fabric_bandwidth``) and the card
+    population becomes ``boxes x cards_per_box`` — card index ``i`` is
     ``(box i // cards_per_box, lane i % cards_per_box)``.
     """
 
     def __init__(self, config: HLS1Config | None = None):
         self.config = config or HLS1Config()
-        self.cards = [
-            GaudiDevice(self.config.card)
-            for _ in range(self.config.total_cards)
-        ]
+        self.card_device = GaudiDevice(self.config.card)
 
     @property
     def num_cards(self) -> int:
         """Total cards in the cluster (every box)."""
-        return len(self.cards)
+        return self.config.total_cards
 
     @property
     def boxes(self) -> int:
@@ -117,26 +94,14 @@ class HLS1Device:
 
     @property
     def now(self) -> float:
-        """System clock: the latest completion time across all cards."""
-        return max(card.now for card in self.cards)
-
-    def __len__(self) -> int:
-        return len(self.cards)
-
-    def card(self, index: int) -> GaudiDevice:
-        """The ``index``-th Gaudi in the box."""
-        return self.cards[index]
-
-    def reset(self) -> None:
-        """Reset every card."""
-        for card in self.cards:
-            card.reset()
+        """System clock: the latest completion time on any card."""
+        return self.card_device.now
 
     def describe(self) -> str:
         """One-line summary for logs and reports."""
         ic = self.config.interconnect
         base = (
-            f"HLS-1: {self.num_cards}x [{self.cards[0].describe()}], "
+            f"HLS-1: {self.num_cards}x [{self.card_device.describe()}], "
             f"RoCE {ic.roce_bandwidth_bytes_per_s / 1e9:.1f} GB/s/link @ "
             f"{ic.roce_latency_us:.1f} us"
         )

@@ -226,22 +226,14 @@ class SynapseProfiler:
                 fresh_compile = i == 0
             if fresh_compile and compile_us_per_op > 0:
                 compile_us = compile_us_per_op * len(schedule)
-                host = self.backend.host_engine
-                interval = device.timeline(host).reserve(
-                    device.now, compile_us, "graph_compile"
-                )
+                start = device.now
                 compile_event = TraceEvent(
-                    "graph_compile", host,
-                    interval.start, compile_us, src="compile",
+                    "graph_compile", self.backend.host_engine,
+                    start, compile_us, src="compile",
                 )
-                # first iteration must wait for compilation: advance
-                # every non-host engine's availability past it
-                # (whatever timelines the backend's device declares)
-                for engine in device.timelines:
-                    if engine is self.backend.host_engine:
-                        continue
-                    device.timeline(engine).reserve(interval.end, 0.0,
-                                                    "compile_barrier")
+                # the first iteration waits for compilation: the device
+                # starts no op before it ends
+                device.now = start + compile_us
             else:
                 compile_event = None
             result = runtime.execute(

@@ -186,13 +186,14 @@ class Runtime:
         memory model (see the module docstring).
         """
         return _execute(
-            [self.device], schedule,
+            self.device, 1, schedule,
             scheduler=scheduler, hbm_contention=hbm_contention,
         )
 
 
 def _execute(
-    cards: list[GaudiDevice],
+    device: GaudiDevice,
+    ncards: int,
     schedule: Schedule,
     *,
     scheduler: str,
@@ -202,18 +203,22 @@ def _execute(
 ) -> ExecutionResult:
     """The one execute body, for one card or many.
 
-    Every card replays ``schedule`` in one planned issue order from
-    ``t0 = max(card.now)``. Collectives with a non-empty plan take the
-    plan's analytic time in the planner and the uncontended replay,
-    and drain through ``fabric`` in the contended loop; a plain
-    :class:`Runtime` passes no plans and no fabric, so its NIC ops are
-    ordinary cost-model ops and it reports no exposed communication.
+    All ``ncards`` cards replay ``schedule`` in one planned issue order
+    from ``t0 = device.now``; ``device``'s cost model prices every card,
+    and its clock, the population's, moves to the latest end of any
+    engine's last op.
+    Collectives with a non-empty plan take the plan's analytic time in
+    the planner and the uncontended replay, and drain through
+    ``fabric`` in the contended loop; a plain :class:`Runtime` passes
+    no plans and no fabric, so its NIC ops are ordinary cost-model ops
+    and it reports no exposed communication.
     """
-    t0 = max(card.now for card in cards)
+    t0 = device.now
+    cost = device.cost_model
     # one cached cost walk serves both the planner and the fluid loop:
     # recomposing the parts at full bandwidth reproduces
     # :func:`op_duration_us` exactly (see :class:`CostParts`)
-    prep = _schedule_prep(schedule, cards[0].cost_model)
+    prep = _schedule_prep(schedule, cost)
     durations = prep.durations
     if plans:
         durations = [
@@ -222,35 +227,33 @@ def _execute(
             for i, d in enumerate(durations)
         ]
     order = _plan_order(
-        cards[0], schedule, durations, t0, scheduler,
+        schedule, durations, t0, scheduler,
         prep.consumers_of, prep.blocked_proto,
     )
     fabric_busy = 0.0
     if hbm_contention:
-        events, stall_total = _fluid_execute_vector(
-            cards, schedule, order, t0,
+        events, stall_total, total = _fluid_execute_vector(
+            cost, ncards, schedule, order, t0,
             prep=prep, fabric=fabric, plans=plans,
         )
         if fabric is not None:
             fabric_busy = fabric.busy_us()
     else:
-        events = _replay_symmetric(cards, schedule, order, durations, t0)
+        events, total = _replay_symmetric(
+            ncards, schedule, order, durations, t0
+        )
         stall_total = 0.0
     timeline = Timeline(events, name=schedule.graph.name, validate=False)
     exposed = 0.0
     if plans is not None:
         # card 0's events alone: the fluid loop emits them op-major
         # (each op's cards adjacent, card 0 first), the replay card-major
-        ncards = len(cards)
         card0 = (
             events[::ncards] if hbm_contention
             else events[:len(events) // ncards]
         )
         exposed = Timeline(card0, validate=False).exposed_comm_us()
-    # every event ends exactly at its engine timeline's free_at, so the
-    # card clocks ARE the makespan (no 3k-event scan); with no events
-    # they sit at t0
-    total = max(card.now for card in cards)
+    device.now = total
     return ExecutionResult(
         timeline=timeline,
         total_time_us=total - t0,
@@ -259,7 +262,7 @@ def _execute(
         peak_hbm_bytes=schedule.memory.peak_bytes,
         issue_order=order,
         contention_stall_us=stall_total,
-        num_cards=len(cards),
+        num_cards=ncards,
         exposed_comm_us=exposed,
         fabric_busy_us=fabric_busy,
     )
@@ -306,7 +309,6 @@ def _replicate(
 
 
 def _plan_order(
-    device: GaudiDevice,
     schedule: Schedule,
     durations: list[float],
     t0: float,
@@ -316,20 +318,20 @@ def _plan_order(
 ) -> list[int]:
     """Plan the issue order the ``scheduler`` policy prescribes.
 
-    ``device`` supplies the engine free times the plan starts from;
-    ``consumers_of`` and ``blocked_proto`` are the schedule's
-    dependency graph (:func:`_dep_graph`, cached on the prep), which
-    the planners read without mutating.
+    Every engine starts free at ``t0``, the device clock; no engine
+    can be busy past it. ``consumers_of`` and ``blocked_proto`` are
+    the schedule's dependency graph (:func:`_dep_graph`, cached on the
+    prep), which the planners read without mutating.
     """
     if scheduler == "inorder":
         return [op.index for op in schedule.ops]
     if scheduler == "reorder":
         return _plan_reorder(
-            device, schedule, durations, t0, consumers_of, blocked_proto
+            schedule, durations, t0, consumers_of, blocked_proto
         )
     if scheduler == "lookahead":
         return _plan_lookahead(
-            device, schedule, durations, t0, consumers_of, blocked_proto
+            schedule, durations, t0, consumers_of, blocked_proto
         )
     raise ExecutionError(
         f"unknown scheduler {scheduler!r} "
@@ -351,7 +353,6 @@ def _dep_graph(schedule: Schedule) -> tuple[list[list[int]], list[int]]:
 
 
 def _plan_reorder(
-    device: GaudiDevice,
     schedule: Schedule,
     durations: list[float],
     t0: float,
@@ -368,10 +369,7 @@ def _plan_reorder(
     """
     n = len(schedule.ops)
     blocked_by = list(blocked_proto)
-    free = {
-        op.engine: device.timeline(op.engine).free_at
-        for op in schedule.ops
-    }
+    free = {op.engine: t0 for op in schedule.ops}
     finish: dict[int, float] = {}
     ready_time: dict[int, float] = {}
     heap: list[tuple[float, int]] = []
@@ -413,7 +411,6 @@ def _plan_reorder(
 
 
 def _plan_lookahead(
-    device: GaudiDevice,
     schedule: Schedule,
     durations: list[float],
     t0: float,
@@ -467,10 +464,7 @@ def _plan_lookahead(
                 )
                 if d < mme_lead[i]:
                     mme_lead[i] = d
-    free = {
-        op.engine: device.timeline(op.engine).free_at
-        for op in schedule.ops
-    }
+    free = {op.engine: t0 for op in schedule.ops}
     finish: dict[int, float] = {}
     ready: dict[int, float] = {
         i: t0 for i in range(n) if blocked_by[i] == 0
@@ -544,7 +538,7 @@ class _SchedulePrep:
 
     __slots__ = (
         "durations", "compute", "hbm", "serial", "nominal",
-        "cap", "labels", "heads", "eng", "engines",
+        "cap", "heads", "eng", "engines",
         "consumers_of", "blocked_proto",
     )
 
@@ -560,7 +554,6 @@ class _SchedulePrep:
             max(p.compute_us, p.uncontended_mem_us(bandwidth)) for p in parts
         ]
         self.cap = [p.rate_cap for p in parts]
-        self.labels = [op.label for op in ops]
         # engine index in first-appearance order (matches the order the
         # scalar loop's queue dict preserves)
         engine_ids: dict[EngineKind, int] = {}
@@ -600,7 +593,8 @@ def _schedule_prep(schedule: Schedule, cost: CostModel) -> _SchedulePrep:
 
 
 def _fluid_execute_vector(
-    cards: list[GaudiDevice],
+    cost: CostModel,
+    ncards: int,
     schedule: Schedule,
     order: list[int],
     t0: float,
@@ -608,8 +602,11 @@ def _fluid_execute_vector(
     prep: _SchedulePrep,
     fabric: BandwidthArbiter | None = None,
     plans: dict[int, CollectivePlan] | None = None,
-) -> tuple[list[TraceEvent], float]:
-    """The fluid event loop: N cards, their HBM arbiters, one fabric.
+) -> tuple[list[TraceEvent], float, float]:
+    """The fluid event loop: ``ncards`` cards priced by ``cost``, their
+    HBM arbiters, one fabric. Returns every card's events, the summed
+    contention stall and the clock after the run: the latest end of
+    any engine's last op, or ``t0`` if nothing ran.
 
     Every card replays the same schedule in the same issue ``order`` on
     its own clock; per-card HBM traffic drains through that card's own
@@ -628,10 +625,9 @@ def _fluid_execute_vector(
     single float:
 
     * **Cards are symmetric.** Every card replays the same schedule in
-      the same order through an identical arbiter, all costs come from
-      ``cards[0].cost_model``, and ``t0 = max(card.now)`` guarantees no
-      engine timeline ever clamps a reservation. The per-card dynamics
-      are therefore one deterministic trajectory repeated N times — so
+      the same order through an identical arbiter from the same ``t0``,
+      and all costs come from ``cost``. The per-card dynamics are
+      therefore one deterministic trajectory repeated N times — so
       this loop simulates one representative card (collectives join
       all cards at once by symmetry), records each of its events as a
       card-less head, and after the loop builds every card's copies in
@@ -652,8 +648,7 @@ def _fluid_execute_vector(
     scalar reference, which is what makes the integration boundaries —
     and hence every accumulated float — match it exactly.
     """
-    ncards = len(cards)
-    bandwidth = cards[0].cost_model.mem_bandwidth
+    bandwidth = cost.mem_bandwidth
     plans = plans or {}
     n = len(schedule.ops)
     consumers_of = prep.consumers_of
@@ -665,27 +660,20 @@ def _fluid_execute_vector(
     serial_l = prep.serial
     nominal_l = prep.nominal
     cap_l = prep.cap
-    label_l = prep.labels
     head_l = prep.heads
 
     # per-engine issue queues for the representative card, scanned in
     # the same first-appearance order the scalar loop's dict preserves
     eng_l = prep.eng
-    engine_of = prep.engines
-    nengines = len(engine_of)
+    nengines = len(prep.engines)
     queue_of: list[list[int]] = [[] for _ in range(nengines)]
     for idx in order:
         queue_of[eng_l[idx]].append(idx)
     scan = [e for e in range(nengines) if queue_of[e]]
     head = [0] * nengines
     busy = [False] * nengines
-    card_timelines = [
-        [card.timelines[engine] for engine in engine_of] for card in cards
-    ]
-    # twin cards replay card 0's reservation stream in bulk after the
-    # loop (the loop itself never reads a twin timeline)
-    rep_timelines = card_timelines[0]
-    marks = [tl.interval_count for tl in rep_timelines]
+    # each engine's latest event head: its end is the engine's free time
+    last_head: list[tuple | None] = [None] * nengines
 
     # the loop's own HBM arbiter is dropped when the run ends, so the
     # diagnostic rate log would never be read (the fabric arbiter,
@@ -751,14 +739,12 @@ def _fluid_execute_vector(
             span_us = bytes_end[idx] - begun
             if span_us > 0:
                 achieved_gbps = hbm / (span_us * 1e-6) / 1e9
-        interval = rep_timelines[e].reserve_started(
-            begun, duration, label_l[idx]
-        )
         name, engine, src, scope, flops, hbm = head_l[idx]
-        head = (name, engine, interval.start, duration, src, scope,
+        head = (name, engine, begun, duration, src, scope,
                 flops, hbm, achieved_gbps, stall)
         heads.append(head)
         twin_heads.append(head)
+        last_head[e] = head
         # stall adds stay one-per-card, in card order, exactly as the
         # scalar loop's per-card finish_op calls accumulate them
         stall_total = reduce(add, repeat(stall, ncards), stall_total)
@@ -796,10 +782,10 @@ def _fluid_execute_vector(
         begun = coll_join_at[idx]
         stall = max(0.0, (t - begun) - plan.analytic_time_us)
         stall_total += stall
-        rep_timelines[e].reserve_started(begun, t - begun, label_l[idx])
         name, engine, src, scope, _, _ = head_l[idx]
         head = (name, engine, begun, t - begun, src, scope, 0.0, 0.0, 0.0)
         heads.append(head + (stall,))
+        last_head[e] = head
         # only card 0 carries the collective's stall attribution
         twin_heads.append(head + (0.0,))
         for consumer in consumers_of[idx]:
@@ -871,55 +857,43 @@ def _fluid_execute_vector(
         if fabric_live:
             for idx in sorted(fabric.advance(now)):
                 step_complete(idx, now)
-    for e, tl0 in enumerate(rep_timelines):
-        added = tl0.intervals_since(marks[e])
-        if added:
-            for c in range(1, ncards):
-                card_timelines[c][e].mirror_many(added)
     events = _replicate(heads, twin_heads, ncards, op_major=True)
-    return events, stall_total
+    end = max([t0, *(h[2] + h[3] for h in last_head if h is not None)])
+    return events, stall_total, end
 
 
 def _replay_symmetric(
-    cards: list[GaudiDevice],
+    ncards: int,
     schedule: Schedule,
     order: list[int],
     durations: list[float],
     t0: float,
-) -> list[TraceEvent]:
-    """Uncontended closed-form replay on every card, card-major.
+) -> tuple[list[TraceEvent], float]:
+    """Uncontended closed-form replay on every card, card-major, and
+    the clock after it.
 
     Card 0 issues ops in ``order``, each starting at ``max(producers
-    done, engine free)`` — in program order this is the in-order
-    discipline, with a planned order it replays that plan. Collectives
-    take their analytic duration, so the cards never interact: every
-    card runs the same deterministic replay, and ``t0 = max(card.now)``
-    guarantees no twin reservation would clamp. Each twin gets a copy
-    of card 0's events with only ``card`` changed, and card 0's new
-    intervals mirrored onto its timelines — the same events and
-    intervals a replay per card builds. A single card mirrors nothing.
+    done, engine free)`` with every engine free at ``t0`` — in program
+    order this is the in-order discipline, with a planned order it
+    replays that plan. Collectives take their analytic duration, so
+    the cards never interact: every card runs the same deterministic
+    replay, and each of cards ``1..ncards-1`` gets a copy of card 0's
+    events with only ``card`` changed — the same events a replay per
+    card builds.
     """
-    rep = cards[0]
-    marks = {engine: tl.interval_count for engine, tl in rep.timelines.items()}
+    free: dict[EngineKind, float] = {}
     finish: dict[int, float] = {}
     heads: list[tuple] = []
     for idx in order:
         op = schedule.ops[idx]
         ready = max((finish[d] for d in op.deps), default=t0)
+        start = max(ready, free.get(op.engine, t0))
         duration = durations[idx]
-        interval = rep.timeline(op.engine).reserve(ready, duration, op.label)
-        heads.append((op.label, op.engine, interval.start, duration,
+        heads.append((op.label, op.engine, start, duration,
                       op.src, op.scope, op.flops, 0.0, 0.0, 0.0))
-        finish[idx] = interval.start + duration
-    events = _replicate(heads, heads, len(cards), op_major=False)
-    if len(cards) == 1:
-        return events
-    for engine, tl in rep.timelines.items():
-        added = tl.intervals_since(marks[engine])
-        if added:
-            for card in cards[1:]:
-                card.timelines[engine].mirror_many(added)
-    return events
+        finish[idx] = free[op.engine] = start + duration
+    events = _replicate(heads, heads, ncards, op_major=False)
+    return events, max([t0, *free.values()])
 
 
 def _stage_schedule(
@@ -1082,12 +1056,11 @@ class HLS1Runtime:
         ``scheduler`` and ``hbm_contention`` mean exactly what they mean
         in :meth:`Runtime.execute`. Cards are symmetric, so the fluid
         loop and the uncontended replay simulate one representative
-        card and mirror its events and timeline intervals onto the
-        others.
+        card and copy its events onto the others.
 
         A pipelined schedule (``stats["pipeline"]`` with ``pp > 1``)
         instead times fresh per-stage device slices from t=0: the
-        system's card clocks stay where they were, the result's
+        system's clock stays where it was, the result's
         ``start_offset_us`` is 0.0 and its ``issue_order`` is empty.
         """
         pinfo = schedule.stats.get("pipeline")
@@ -1111,7 +1084,7 @@ class HLS1Runtime:
             boxes=system.boxes,
         )
         return _execute(
-            system.cards, schedule,
+            system.card_device, system.num_cards, schedule,
             scheduler=scheduler, hbm_contention=hbm_contention,
             plans=plans, fabric=fabric,
         )

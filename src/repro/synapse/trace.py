@@ -12,11 +12,26 @@ run time per attention variant (Figs 5/6/7).
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..hw.costmodel import EngineKind
-from ..hw.des import Interval
 from ..util.errors import ExecutionError
+
+
+@dataclass(frozen=True)
+class Interval:
+    """A closed-open interval [start, end) tagged with a label — an
+    engine's busy span or one of its idle gaps."""
+
+    start: float
+    end: float
+    label: str = ""
+
+    @property
+    def duration(self) -> float:
+        """Length of the interval in microseconds."""
+        return self.end - self.start
 
 
 class TraceEvent(NamedTuple):
@@ -62,8 +77,10 @@ class Timeline:
         validate: bool = True,
     ):
         """``validate=False`` skips the negative-duration scan — for
-        callers whose events come from engine-timeline reservations,
-        which already reject negative durations at reserve time."""
+        the runtime, whose op durations are non-negative by
+        construction (cost models price work at >= 0 and
+        :class:`~repro.synapse.compiler.CompilerOptions` rejects a
+        negative recompile penalty)."""
         self.name = name
         self.events: list[TraceEvent] = []
         if events:

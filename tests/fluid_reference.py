@@ -15,8 +15,7 @@ from collections import deque
 from unittest import mock
 
 from repro.hw.bandwidth import BandwidthArbiter
-from repro.hw.costmodel import CostParts, EngineKind
-from repro.hw.device import GaudiDevice
+from repro.hw.costmodel import CostModel, CostParts, EngineKind
 from repro.hw.interconnect import CollectivePlan
 from repro.synapse.runtime import _TIME_EPS_US, _dep_graph, op_cost_parts
 from repro.synapse.schedule import Schedule
@@ -25,7 +24,8 @@ from repro.util.errors import ExecutionError
 
 
 def _fluid_execute(
-    cards: list[GaudiDevice],
+    cost: CostModel,
+    ncards: int,
     schedule: Schedule,
     order: list[int],
     t0: float,
@@ -34,8 +34,9 @@ def _fluid_execute(
     fabric: BandwidthArbiter | None = None,
     plans: dict[int, CollectivePlan] | None = None,
     parts: list[CostParts] | None = None,
-) -> tuple[list[TraceEvent], float]:
-    """The fluid event loop, generalized to N cards + a shared fabric.
+) -> tuple[list[TraceEvent], float, float]:
+    """The fluid event loop, generalized to ``ncards`` cards priced by
+    ``cost`` + a shared fabric.
 
     Every card replays the same schedule in the same issue ``order`` on
     its own clock; per-card HBM traffic drains through that card's own
@@ -48,17 +49,20 @@ def _fluid_execute(
     same instant, which is what makes collectives cross-card
     synchronization points. With one card and no fabric this reduces
     exactly (float for float) to the single-card contended loop.
+
+    Returns the events, the summed contention stall and the clock after
+    the run: the latest end of any card's engine's last op, or ``t0``.
     """
-    ncards = len(cards)
-    cost = cards[0].cost_model
     bandwidth = cost.mem_bandwidth
     if parts is None:
         parts = [op_cost_parts(cost, op) for op in schedule.ops]
-    arbiters = [BandwidthArbiter(bandwidth, shared=shared) for _ in cards]
+    arbiters = [
+        BandwidthArbiter(bandwidth, shared=shared) for _ in range(ncards)
+    ]
     plans = plans or {}
     n = len(schedule.ops)
     consumers_of, blocked_by_proto = _dep_graph(schedule)
-    blocked_by = [list(blocked_by_proto) for _ in cards]
+    blocked_by = [list(blocked_by_proto) for _ in range(ncards)]
 
     queues: dict[tuple[int, EngineKind], deque[int]] = {}
     for c in range(ncards):
@@ -80,6 +84,8 @@ def _fluid_execute(
     #: (latency-expiry time, collective idx): the step's wire may drain
     timers: list[tuple[float, int]] = []
     events: list[TraceEvent] = []
+    #: (card, engine) -> end of the engine's latest op on that card
+    free_at: dict[tuple[int, EngineKind], float] = {}
     stall_total = 0.0
     done = 0
     now = t0
@@ -128,13 +134,11 @@ def _fluid_execute(
             span_us = bytes_end[(c, idx)] - begun
             if span_us > 0:
                 achieved_gbps = p.hbm_bytes / (span_us * 1e-6) / 1e9
-        interval = cards[c].timeline(op.engine).reserve(
-            begun, duration, op.label
-        )
+        free_at[(c, op.engine)] = begun + duration
         events.append(TraceEvent(
             name=op.label,
             engine=op.engine,
-            start_us=interval.start,
+            start_us=begun,
             dur_us=duration,
             src=op.src,
             scope=op.scope,
@@ -183,7 +187,7 @@ def _fluid_execute(
         for c in range(ncards):
             engine_busy[(c, op.engine)] = False
             begun = coll_join[idx][c]
-            cards[c].timeline(op.engine).reserve(begun, t - begun, op.label)
+            free_at[(c, op.engine)] = begun + (t - begun)
             events.append(TraceEvent(
                 name=op.label,
                 engine=op.engine,
@@ -258,14 +262,14 @@ def _fluid_execute(
         if fabric is not None:
             for idx in sorted(fabric.advance(now)):
                 step_complete(idx, now)
-    return events, stall_total
+    return events, stall_total, max([t0, *free_at.values()])
 
 
-def _as_vector_loop(cards, schedule, order, t0, *, prep, fabric=None,
-                    plans=None):
+def _as_vector_loop(cost, ncards, schedule, order, t0, *, prep,
+                    fabric=None, plans=None):
     """:func:`_fluid_execute` behind the vector loop's signature."""
     return _fluid_execute(
-        cards, schedule, order, t0, fabric=fabric, plans=plans
+        cost, ncards, schedule, order, t0, fabric=fabric, plans=plans
     )
 
 

@@ -121,7 +121,6 @@ class TestRegistry:
         assert isinstance(get_backend("gaudi").make_device(), GaudiDevice)
         device = get_backend("wse").make_device()
         assert isinstance(device, WSEDevice)
-        assert set(device.timelines) == set(get_backend("wse").engines)
 
 
 class TestCachePoisoning:

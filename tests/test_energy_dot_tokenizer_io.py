@@ -8,7 +8,6 @@ from repro.core import run_energy_study
 from repro.hw import (
     EnergyBreakdown,
     EnergyConfig,
-    EngineKind,
     GaudiDevice,
     joules_per_token,
     schedule_energy,
@@ -130,19 +129,7 @@ class TestDotExport:
 
 
 class TestRuntimeDeviceConsistency:
-    """The device's EngineTimeline and the trace must agree."""
-
-    @pytest.mark.parametrize("reorder", [False, True])
-    def test_busy_times_match(self, reorder):
-        _, schedule = attention_schedule()
-        device = GaudiDevice()
-        result = Runtime(device).execute(
-            schedule, scheduler="reorder" if reorder else "inorder"
-        )
-        for engine in (EngineKind.MME, EngineKind.TPC, EngineKind.DMA):
-            trace_busy = result.timeline.busy_time_us(engine)
-            device_busy = device.timeline(engine).busy_time()
-            assert trace_busy == pytest.approx(device_busy, abs=1e-6)
+    """The device clock and the trace must agree."""
 
     def test_device_clock_matches_trace_end(self):
         _, schedule = attention_schedule()

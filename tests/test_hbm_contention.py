@@ -299,8 +299,8 @@ class TestContendedRuntime:
         )
         device = GaudiDevice()
         order = list(legacy.issue_order)
-        events, stall = _fluid_execute(
-            [device], schedule, order, device.now, shared=False
+        events, stall, _ = _fluid_execute(
+            device.cost_model, 1, schedule, order, device.now, shared=False
         )
         assert stall == pytest.approx(0.0, abs=1e-6)
         got = sorted(_events_key(events))

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.hw import (
-    EngineKind,
     InterconnectConfig,
     RingAllReduce,
     data_parallel_step_time_us,
@@ -17,20 +16,6 @@ from repro.util.errors import ConfigError
 class TestGaudiDevice:
     def test_fresh_device_clock_zero(self):
         dev = default_device()
-        assert dev.now == 0.0
-
-    def test_clock_advances_with_reservations(self):
-        dev = default_device()
-        dev.timeline(EngineKind.MME).reserve(0.0, 100.0, "mm")
-        dev.timeline(EngineKind.TPC).reserve(0.0, 250.0, "softmax")
-        assert dev.now == 250.0
-        assert dev.utilization(EngineKind.MME) == pytest.approx(0.4)
-        assert dev.utilization(EngineKind.TPC) == pytest.approx(1.0)
-
-    def test_reset(self):
-        dev = default_device()
-        dev.timeline(EngineKind.MME).reserve(0.0, 10.0)
-        dev.reset()
         assert dev.now == 0.0
 
     def test_describe_mentions_engines(self):

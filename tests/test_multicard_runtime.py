@@ -234,15 +234,6 @@ def _card_intervals(result, engines=GAUDI_ENGINES):
     ]
 
 
-def _ledger_intervals(cards):
-    return [
-        (c, engine.value,
-         [(iv.start, iv.end, iv.label) for iv in tl.intervals])
-        for c, card in enumerate(cards)
-        for engine, tl in card.timelines.items()
-    ]
-
-
 def _trace_digest(result, engines=GAUDI_ENGINES) -> str:
     """SHA-256 over every event in list order, each card's per-engine
     busy intervals and the makespan."""
@@ -349,7 +340,6 @@ class TestMultiCardGoldens:
         result = HLS1Runtime(system).execute(
             gpt_schedules[sched], **GOLDEN_POLICIES[policy]
         )
-        assert _card_intervals(result) == _ledger_intervals(system.cards)
         assert _trace_digest(result) == GOLDEN_DIGESTS[key]
 
     def test_goldens_cover_the_grid(self):
@@ -420,37 +410,39 @@ class TestCardReplicas:
 
 
 def _reference_uncontended(system, schedule, scheduler):
-    """Every card replays the schedule on its own timelines, card after
-    card: the oracle the runtime's uncontended execute must match."""
-    cards = system.cards
-    t0 = max(card.now for card in cards)
+    """Every card replays the schedule on its own engines, card after
+    card, from the system clock: the oracle the runtime's uncontended
+    execute must match. Advances the clock as an execute does."""
+    cost = system.card_device.cost_model
+    t0 = system.now
     plans = collective_plans(
         schedule, system.num_cards, system.interconnect, boxes=system.boxes
     )
     durations = [
         plans[op.index].analytic_time_us
         if op.index in plans and plans[op.index].steps
-        else op_duration_us(cards[0].cost_model, op)
+        else op_duration_us(cost, op)
         for op in schedule.ops
     ]
     order = _plan_order(
-        cards[0], schedule, durations, t0, scheduler, *_dep_graph(schedule)
+        schedule, durations, t0, scheduler, *_dep_graph(schedule)
     )
     rows = []
-    for c, card in enumerate(cards):
-        finish = {}
+    end = t0
+    for c in range(system.num_cards):
+        free, finish = {}, {}
         for idx in order:
             op = schedule.ops[idx]
             ready = max((finish[d] for d in op.deps), default=t0)
-            iv = card.timeline(op.engine).reserve(
-                ready, durations[idx], op.label
-            )
-            finish[idx] = iv.end
+            start = max(ready, free.get(op.engine, t0))
+            finish[idx] = free[op.engine] = start + durations[idx]
+            end = max(end, finish[idx])
             rows.append((
-                op.label, op.engine.value, c, iv.start, durations[idx],
+                op.label, op.engine.value, c, start, durations[idx],
                 op.flops, 0.0, 0.0,
             ))
-    return rows, max(card.now for card in cards) - t0
+    system.card_device.now = end
+    return rows, end - t0
 
 
 class TestUncontendedReference:
@@ -461,7 +453,7 @@ class TestUncontendedReference:
         tp=st.sampled_from((1, 2)),
         bucket_mb=st.sampled_from((0.001, 25.0)),
         scheduler=st.sampled_from(("inorder", "reorder", "lookahead")),
-        history=st.sampled_from(("fresh", "twice", "card3")),
+        history=st.sampled_from(("fresh", "twice", "warm")),
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_per_card_replay(self, layers, cards, boxes, tp,
@@ -471,12 +463,13 @@ class TestUncontendedReference:
         )
         config = HLS1Config(num_cards=cards, boxes=boxes)
         system, oracle = HLS1Device(config), HLS1Device(config)
-        if history == "card3":
-            # card 3 runs a schedule alone first, so the cards start
-            # the multi-card execute with different histories
+        if history == "warm":
+            # the whole system runs another schedule first, so the
+            # execute under test starts late
             warm = compile_step(record_tiny_step(layers=1, batch=2))
             for twin in (system, oracle):
-                Runtime(twin.cards[3]).execute(warm)
+                HLS1Runtime(twin).execute(warm)
+            assert system.now == oracle.now > 0.0
         runs = 2 if history == "twice" else 1
         for _ in range(runs):
             result = HLS1Runtime(system).execute(
@@ -485,7 +478,7 @@ class TestUncontendedReference:
             rows, total = _reference_uncontended(oracle, schedule, scheduler)
             assert _trace_rows(result.timeline.events) == rows
             assert result.total_time_us == total
-            assert _ledger_intervals(system.cards) == _ledger_intervals(oracle.cards)
+            assert system.now == oracle.now
 
 
 class TestPipelinedExecute:
@@ -493,13 +486,11 @@ class TestPipelinedExecute:
         system = HLS1Device(HLS1Config(num_cards=8))
         runtime = HLS1Runtime(system)
         runtime.execute(gpt_schedules["gpt-ddp"])
-        clocks = _ledger_intervals(system.cards)
         now = system.now
         first = runtime.execute(gpt_schedules["gpt-pp2"])
         second = runtime.execute(gpt_schedules["gpt-pp2"])
-        # the system's card clocks stay where the DDP step left them
+        # the system's clock stays where the DDP step left it
         assert system.now == now
-        assert _ledger_intervals(system.cards) == clocks
         for result in (first, second):
             assert result.issue_order == []
             assert result.start_offset_us == 0.0

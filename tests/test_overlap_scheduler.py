@@ -128,7 +128,7 @@ class TestSchedulerPolicies:
         cost = runtime.device.cost_model
         durations = [op_duration_us(cost, op) for op in schedule.ops]
         greedy = _plan_reorder(
-            runtime.device, schedule, durations, 0.0, *_dep_graph(schedule)
+            schedule, durations, 0.0, *_dep_graph(schedule)
         )
         new = runtime.execute(schedule, scheduler="reorder")
         assert list(new.issue_order) == greedy

@@ -176,9 +176,9 @@ class TestContentionInvariants:
             schedule, hbm_contention=False
         )
         device = GaudiDevice()
-        events, stall = _fluid_execute(
-            [device], schedule, list(legacy.issue_order), device.now,
-            shared=False,
+        events, stall, _ = _fluid_execute(
+            device.cost_model, 1, schedule, list(legacy.issue_order),
+            device.now, shared=False,
         )
         assert stall == pytest.approx(0.0, abs=1e-6)
         got = sorted(

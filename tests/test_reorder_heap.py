@@ -28,7 +28,7 @@ from tests.test_property_compiler_runtime import (
 
 
 def _plan_reorder_scan(
-    device: GaudiDevice, schedule, durations: list[float], t0: float
+    schedule, durations: list[float], t0: float
 ) -> list[int]:
     """Reference O(n²) planner (the pre-heap implementation).
 
@@ -38,10 +38,7 @@ def _plan_reorder_scan(
     """
     n = len(schedule.ops)
     consumers_of, blocked_by = _dep_graph(schedule)
-    free = {
-        op.engine: device.timeline(op.engine).free_at
-        for op in schedule.ops
-    }
+    free = {op.engine: t0 for op in schedule.ops}
     finish: dict[int, float] = {}
     ready_time = {i: t0 for i in range(n) if blocked_by[i] == 0}
     order: list[int] = []
@@ -79,10 +76,8 @@ def _plan_both(schedule):
         op_duration_us(runtime.device.cost_model, op) for op in schedule.ops
     ]
     t0 = runtime.device.now
-    heap = _plan_reorder(
-        runtime.device, schedule, durations, t0, *_dep_graph(schedule)
-    )
-    scan = _plan_reorder_scan(runtime.device, schedule, durations, t0)
+    heap = _plan_reorder(schedule, durations, t0, *_dep_graph(schedule))
+    scan = _plan_reorder_scan(schedule, durations, t0)
     return heap, scan
 
 
@@ -121,12 +116,8 @@ class TestHeapMatchesScan:
             for op in schedule.ops
         ]
         t0 = runtime.device.now
-        scan_order = _plan_reorder_scan(
-            runtime.device, schedule, durations, t0
-        )
-        want = _replay_symmetric(
-            [GaudiDevice()], schedule, scan_order, durations, t0
-        )
+        scan_order = _plan_reorder_scan(schedule, durations, t0)
+        want, _ = _replay_symmetric(1, schedule, scan_order, durations, t0)
         got = Runtime(GaudiDevice()).execute(
             schedule, scheduler="reorder", hbm_contention=False
         ).timeline.events

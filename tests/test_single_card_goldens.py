@@ -18,11 +18,7 @@ from repro.hw.backend import get_backend
 from repro.hw.config import GaudiConfig
 from repro.synapse import CompilerOptions, GraphCompiler, Runtime
 from repro.synapse.recipe import RecipeCache, options_signature, recipe_key
-from tests.test_multicard_runtime import (
-    _card_intervals,
-    _ledger_intervals,
-    _trace_digest,
-)
+from tests.test_multicard_runtime import _trace_digest
 
 WORKLOADS = {
     "softmax": lambda: _layer_graph("softmax"),
@@ -94,9 +90,7 @@ def test_golden_digest(graphs, key):
     result = Runtime(device).execute(
         schedule, scheduler=policy, hbm_contention=CONTENTION[contention]
     )
-    engines = get_backend(backend).engines
-    assert _card_intervals(result, engines) == _ledger_intervals([device])
-    digest = _trace_digest(result, engines)
+    digest = _trace_digest(result, get_backend(backend).engines)
     assert digest[:16] == GOLDEN_DIGESTS[key]
 
 

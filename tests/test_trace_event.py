@@ -1,11 +1,13 @@
-"""The TraceEvent record contract and per-card occupancy queries."""
+"""The TraceEvent record contract, per-card occupancy queries and the
+engine invariants the trace answers."""
 
 import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.hw.costmodel import EngineKind
-from repro.synapse import Timeline, TraceEvent
+from repro.synapse import Timeline, TraceEvent, validate_no_engine_overlap
 
 FIELDS = (
     "name", "engine", "start_us", "dur_us", "src", "scope", "flops",
@@ -129,3 +131,45 @@ class TestPerCardOccupancy:
                 for ev in tl.events if ev.engine is engine
             )
             assert tl.idle_us(engine) == max(0.0, horizon - busy)
+
+
+#: (earliest start, duration) requests one engine serves in order
+requests = st.lists(
+    st.tuples(
+        st.floats(min_value=0, max_value=1e5),
+        st.floats(min_value=0, max_value=1e4),
+    ),
+    max_size=40,
+)
+
+
+def serialized(reqs, engine=EngineKind.MME, card=0):
+    """Events of one engine that runs one op at a time: each starts at
+    its requested time or when the previous op ends, if later."""
+    events, free = [], 0.0
+    for i, (earliest, duration) in enumerate(reqs):
+        start = max(earliest, free)
+        events.append(TraceEvent(f"op{i}", engine, start, duration, card=card))
+        free = start + duration
+    return events
+
+
+class TestEngineInvariants:
+    @given(requests, requests)
+    def test_no_overlap_per_card_engine(self, a, b):
+        """Core hardware invariant: one op at a time per engine and
+        card; other engines and cards run concurrently."""
+        validate_no_engine_overlap(Timeline(
+            serialized(a) + serialized(b, EngineKind.TPC)
+            + serialized(b, card=1)
+        ))
+
+    @given(requests)
+    def test_busy_plus_gaps_covers_horizon(self, reqs):
+        tl = Timeline(serialized(reqs))
+        horizon = tl.total_time_us
+        gaps = sum(g.duration for g in tl.gaps(EngineKind.MME))
+        assert gaps + tl.busy_time_us(EngineKind.MME) == pytest.approx(
+            horizon, abs=1e-6
+        )
+        assert tl.idle_us(EngineKind.MME) == pytest.approx(gaps, abs=1e-6)
