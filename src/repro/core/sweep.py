@@ -45,6 +45,7 @@ from ..synapse import (
 )
 from ..synapse.recipe import RecipeCache, recipe_key
 from ..synapse.runtime import HLS1Runtime, Runtime
+from ..util.errors import ConfigError
 from ..util.tabulate import render_table
 
 #: named option bundles selectable from ``repro sweep --policy`` — the
@@ -178,7 +179,7 @@ class SweepSpec:
                                             )
                                         if (backend not in (None, "gaudi")
                                                 and cards * boxes > 1):
-                                            raise ValueError(
+                                            raise ConfigError(
                                                 f"backend {backend!r} "
                                                 "models a single device; "
                                                 f"cards={cards} x boxes="
@@ -626,13 +627,13 @@ def sweep_spec_from_cli(
     unknown = [p for p in policies if p not in SWEEP_POLICIES]
     if unknown:
         known = ", ".join(sorted(SWEEP_POLICIES))
-        raise ValueError(
+        raise ConfigError(
             f"unknown sweep policy {unknown[0]!r} (known: {known})"
         )
     attention_t = tuple(attention)
     bad = [a for a in attention_t if a not in ATTENTION_LOWERINGS]
     if bad:
-        raise ValueError(
+        raise ConfigError(
             f"unknown attention kernel {bad[0]!r} (known: "
             f"{', '.join(ATTENTION_LOWERINGS)})"
         )
@@ -640,15 +641,15 @@ def sweep_spec_from_cli(
     for name in backend_t:
         get_backend(name)  # raises ConfigError on unknown backends
     if tp < 1 or pp < 1:
-        raise ValueError(f"tp/pp must be >= 1, got tp={tp} pp={pp}")
+        raise ConfigError(f"tp/pp must be >= 1, got tp={tp} pp={pp}")
     if auto_layout and (tp > 1 or pp > 1):
-        raise ValueError("--auto-layout already picks tp/pp; drop "
+        raise ConfigError("--auto-layout already picks tp/pp; drop "
                          "the explicit --tp/--pp flags")
     if auto_layout and attention_t:
-        raise ValueError("--auto-layout replaces the policy axis; it "
+        raise ConfigError("--auto-layout replaces the policy axis; it "
                          "cannot be crossed with --attention-kernel")
     if auto_layout and any(b != "gaudi" for b in backend_t):
-        raise ValueError("--auto-layout plans HLS-1 populations; the "
+        raise ConfigError("--auto-layout plans HLS-1 populations; the "
                          "backend axis must stay gaudi")
     models_t = tuple(models) or ("gpt",)
     batches_t = tuple(batches) or (None,)

@@ -54,12 +54,14 @@ compilation penalty and steady-state iterations do not.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from ..hw.backend import get_backend
 from ..hw.config import GaudiConfig
-from ..util.errors import GraphError
+from ..util.errors import ConfigError, GraphError
 from ..util.gc_pause import gc_paused
+from ..util.validation import check_non_negative, check_positive
 from .graph import Graph
 from .passes import PASS_OPTION_FLAGS, PassManager, default_passes
 from .recipe import RecipeCache, recipe_key_from_signature, signatures
@@ -179,6 +181,23 @@ class CompilerOptions:
     #: any compile-time option (``--backend``)
     backend: str = "gaudi"
 
+    def __post_init__(self) -> None:
+        """Reject numeric knobs no compile or execute can honour, so a
+        bad value fails here with a :class:`ConfigError` instead of
+        running silently or surfacing deep inside the runtime."""
+        if not math.isfinite(self.recompile_penalty_us):
+            raise ConfigError(
+                "recompile_penalty_us must be finite, got "
+                f"{self.recompile_penalty_us!r}"
+            )
+        check_non_negative("recompile_penalty_us", self.recompile_penalty_us)
+        check_non_negative("tpc_slice_min_us", self.tpc_slice_min_us)
+        check_positive("bucket_mb", self.bucket_mb)
+        for name in ("tp", "pp", "microbatches", "attention_window"):
+            check_positive(name, getattr(self, name))
+        if self.hbm_budget is not None:
+            check_positive("hbm_budget", self.hbm_budget)
+
     def runtime_kwargs(self) -> dict:
         """The runtime-only options as :meth:`Runtime.execute` keywords."""
         return dict(
@@ -202,7 +221,8 @@ def disable_passes(
             raise ValueError(
                 f"unknown or non-disableable pass {name!r} (known: {known})"
             )
-        flags[flag] = False
+        # the int-valued flags (tp, pp) switch their pass off at 1
+        flags[flag] = False if isinstance(getattr(options, flag), bool) else 1
     return dataclasses.replace(options, **flags)
 
 

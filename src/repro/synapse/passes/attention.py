@@ -160,8 +160,6 @@ class AttentionLoweringPass(CompilerPass):
                 f"{', '.join(ATTENTION_LOWERINGS)}"
             )
         window = int(state.options.attention_window)
-        if window < 1:
-            raise ConfigError(f"attention_window must be >= 1, got {window}")
         if mode == "naive":
             return {"transforms": 0, "mode": mode}
         if mode == "fused":

@@ -365,7 +365,7 @@ class TestSweepBackendAxis:
 
     def test_non_gaudi_backend_rejects_populations(self):
         spec = SweepSpec(name="t", cards=(4,), backend=("wse",))
-        with pytest.raises(ValueError, match="single device"):
+        with pytest.raises(ConfigError, match="single device"):
             spec.expand()
 
     def test_cli_spec_validates_backend_names(self):

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.synapse import CompilerOptions
+from repro.util.errors import ConfigError
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -116,6 +118,49 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: every candidate layout for gpt")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestTypedErrors:
+    """Bad flags and option values fail at the boundary: exit 2, one
+    ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--model", "gpt", "--tp", "0"], "tp/pp must be >= 1"),
+        (["sweep", "--model", "gpt", "--auto-layout", "--tp", "2"],
+         "--auto-layout already picks tp/pp"),
+        (["sweep", "--model", "gpt", "--card", "8", "--boxes", "2",
+          "--backend", "wse"], "models a single device"),
+        (["--bucket-mb", "-5", "ablation-comm"], "bucket_mb must be > 0"),
+    ])
+    def test_bad_flags_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("recompile_penalty_us", -2500.0),
+        ("recompile_penalty_us", float("inf")),
+        ("recompile_penalty_us", float("nan")),
+        ("bucket_mb", 0.0),
+        ("bucket_mb", -5.0),
+        ("tp", 0),
+        ("pp", 0),
+        ("microbatches", 0),
+        ("tpc_slice_min_us", -1.0),
+        ("hbm_budget", 0),
+        ("attention_window", 0),
+    ])
+    def test_compiler_options_reject_bad_values(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            CompilerOptions(**{field: value})
+
+    def test_compiler_options_accept_boundary_values(self):
+        opts = CompilerOptions(
+            recompile_penalty_us=0.0, tpc_slice_min_us=0.0, hbm_budget=1,
+            tp=1, pp=1, microbatches=1, attention_window=1,
+        )
+        assert opts.recompile_penalty_us == 0.0
 
 
 class TestReentrancy:

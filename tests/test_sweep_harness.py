@@ -21,6 +21,7 @@ from repro.core.sweep import (
 from repro.hw.config import HLS1Config
 from repro.hw.device import HLS1Device
 from repro.synapse import GraphCompiler, HLS1Runtime, default_compiler_options
+from repro.util.errors import ConfigError
 
 import pytest
 
@@ -84,7 +85,7 @@ class TestSpecExpansion:
             run_sweep(small_spec(executor="nope"))
 
     def test_cli_spec_builder_validates_policies(self):
-        with pytest.raises(ValueError, match="unknown sweep policy"):
+        with pytest.raises(ConfigError, match="unknown sweep policy"):
             sweep_spec_from_cli([], [], [], [], ["bogus"])
         spec = sweep_spec_from_cli(
             ["gpt"], [4], [], [1, 4], ["ddp", "no-overlap"]
