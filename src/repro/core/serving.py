@@ -55,7 +55,7 @@ from ..models import GPT2LMHeadModel, paper_gpt_config
 from ..models.config import LLMConfig
 from ..models.kvcache import max_decode_context, record_decode_step
 from ..synapse import CompilerOptions, default_compiler_options
-from ..synapse.serving import ServingRuntime
+from ..synapse.serving import ServingRuntime, StepCost
 from ..util.errors import (
     ConfigError,
     DataError,
@@ -121,6 +121,12 @@ class Request:
     finish_reason: str | None = None
     #: admission-time reservation: the quantized worst-case KV bytes
     reserved_kv_bytes: int = 0
+    #: the quantized prompt (prefill) length, set when a run copies the
+    #: request
+    prompt_bucket: int = 0
+    #: the quantized worst-case context, prompt plus output; set with
+    #: ``prompt_bucket``
+    reserved_ctx: int = 0
 
     @property
     def ttft_us(self) -> float:
@@ -133,6 +139,7 @@ class Request:
         return self.admitted_us - self.arrival_us
 
 
+@gc_paused()
 def generate_requests(
     num_requests: int,
     arrival_rate_per_s: float,
@@ -150,9 +157,10 @@ def generate_requests(
     """
     if num_requests < 1:
         raise DataError(f"num_requests must be >= 1, got {num_requests}")
-    if arrival_rate_per_s <= 0:
+    if not (math.isfinite(arrival_rate_per_s) and arrival_rate_per_s > 0):
         raise DataError(
-            f"arrival_rate_per_s must be > 0, got {arrival_rate_per_s}"
+            "arrival_rate_per_s must be finite and > 0, "
+            f"got {arrival_rate_per_s}"
         )
     rng = make_rng(seed)
     gaps = rng.exponential(1e6 / arrival_rate_per_s, size=num_requests)
@@ -162,13 +170,10 @@ def generate_requests(
     prompts = rng.integers(p_lo, p_hi, size=num_requests, endpoint=True)
     outputs = rng.integers(o_lo, o_hi, size=num_requests, endpoint=True)
     return [
-        Request(
-            rid=i,
-            arrival_us=float(arrivals[i]),
-            prompt_len=int(prompts[i]),
-            output_len=int(outputs[i]),
-        )
-        for i in range(num_requests)
+        Request(i, arrival, prompt, output)
+        for i, (arrival, prompt, output) in enumerate(zip(
+            arrivals.tolist(), prompts.tolist(), outputs.tolist()
+        ))
     ]
 
 
@@ -260,10 +265,17 @@ class ServingSimulator:
         self.kv_per_token = kv_bytes_per_token(self.config)
         self.max_context = max_decode_context(self.config)
         self._tag = _config_tag(self.config)
-        # (kind, batch bucket, size bucket) -> (step-cost key, factory),
-        # and -> the runtime's feasibility verdict: fixed for a runtime
-        # but not monotone in batch or context, so each geometry is asked
+        #: _bucket_batch(n) for every batch size 0..max_batch
+        self._batch_buckets = tuple(
+            _bucket_batch(n) for n in range(max_batch + 1)
+        )
+        # (kind, batch bucket, size bucket) -> (step-cost key, factory);
+        # -> the StepCost once the runtime has measured it, so a hit is
+        # one probe; and -> the runtime's feasibility verdict: fixed for
+        # a runtime but not monotone in batch or context, so each
+        # geometry is asked
         self._geometries: dict[tuple, tuple] = {}
+        self._costs: dict[tuple, StepCost] = {}
         self._verdicts: dict[tuple, bool] = {}
         # (prompt bucket, reserved context) -> _viable
         self._viability: dict[tuple, bool] = {}
@@ -290,7 +302,8 @@ class ServingSimulator:
         return min(-(-prompt_len // q) * q, self.config.max_seq_len)
 
     def _reserved_ctx(self, req: Request) -> int:
-        """Worst-case resident cache entries, quantized."""
+        """Worst-case resident cache entries, quantized: the value
+        ``run()`` stores on each copy as ``Request.reserved_ctx``."""
         return self._prompt_bucket(req.prompt_len + req.output_len)
 
     def _geometry(self, kind: str, batch: int, size: int):
@@ -307,8 +320,21 @@ class ServingSimulator:
             self._geometries[kind, batch, size] = hit
         return hit
 
-    def _cost(self, kind: str, batch: int, size: int):
-        return self.runtime.step_cost(*self._geometry(kind, batch, size))
+    def _cost(self, kind: str, batch: int, size: int) -> StepCost:
+        """The step cost at a geometry, counted as one runtime lookup.
+
+        A geometry the runtime has measured answers from ``_costs``;
+        the first query, and every query of an infeasible geometry
+        (which raises :class:`~repro.util.errors.DeviceMemoryError`),
+        goes through :meth:`ServingRuntime.step_cost`.
+        """
+        cost = self._costs.get((kind, batch, size))
+        if cost is None:
+            cost = self.runtime.step_cost(*self._geometry(kind, batch, size))
+            self._costs[kind, batch, size] = cost
+        else:
+            self.runtime.lookups += 1
+        return cost
 
     def _feasible(self, kind: str, batch: int, size: int) -> bool:
         ok = self._verdicts.get((kind, batch, size))
@@ -319,13 +345,13 @@ class ServingSimulator:
 
     # -- admission ----------------------------------------------------------
 
-    def _viable(self, req: Request, reserved_ctx: int) -> bool:
+    def _viable(self, req: Request) -> bool:
         """Whether the request could ever be served alone: it passes the
         admission test against an empty batch, so a viable head can
         never be refused forever."""
         if req.prompt_len > self.config.max_seq_len:
             return False
-        sb = self._prompt_bucket(req.prompt_len)
+        sb, reserved_ctx = req.prompt_bucket, req.reserved_ctx
         ok = self._viability.get((sb, reserved_ctx))
         if ok is None:
             ok = self._viability[sb, reserved_ctx] = (
@@ -345,40 +371,57 @@ class ServingSimulator:
         weights, and its worst-case decode geometry and the joiners'
         grouped prefill must be feasible."""
         joiners: list[Request] = []
-        room = self.max_batch - len(in_flight)
+        size = len(in_flight)
+        room = self.max_batch - size
         if not queue or queue[0].arrival_us > t or room <= 0:
             return joiners
         kv = self.kv_per_token
         free = self.budget_bytes - self.weight_bytes
-        reserved = sum(r.reserved_kv_bytes for r in in_flight)
-        worst = max((r.reserved_kv_bytes for r in in_flight), default=0) // kv
+        max_context = self.max_context
+        buckets = self._batch_buckets
+        verdicts = self._verdicts
+        reserved = worst = 0
+        for r in in_flight:
+            reserved += r.reserved_kv_bytes
+            if r.reserved_ctx > worst:
+                worst = r.reserved_ctx
+        # the prompt bucket of the joiners' longest prompt: bucketing is
+        # monotone, so it is the largest of their buckets
         longest = 0
         while queue and queue[0].arrival_us <= t and len(joiners) < room:
             cand = queue[0]
-            reserved_ctx = self._reserved_ctx(cand)
-            if not self._viable(cand, reserved_ctx):
+            if not self._viable(cand):
                 queue.popleft()
                 cand.finish_reason = "rejected"
                 cand.finish_us = t
                 continue
+            reserved_ctx = cand.reserved_ctx
             cand_bytes = kv * reserved_ctx
-            worst_ctx = max(worst, reserved_ctx)
-            prompt = max(longest, cand.prompt_len)
-            if not (
-                reserved + cand_bytes <= free
-                and self._feasible(
-                    "decode", _bucket_batch(len(in_flight) + len(joiners) + 1),
-                    min(worst_ctx, self.max_context),
-                )
-                and self._feasible(
-                    "prefill", _bucket_batch(len(joiners) + 1),
-                    self._prompt_bucket(prompt),
-                )
-            ):
+            if reserved + cand_bytes > free:
+                break
+            worst_ctx = worst if worst > reserved_ctx else reserved_ctx
+            sb = cand.prompt_bucket
+            if longest > sb:
+                sb = longest
+            n = len(joiners) + 1
+            decode = (
+                "decode", buckets[size + n],
+                worst_ctx if worst_ctx < max_context else max_context,
+            )
+            ok = verdicts.get(decode)
+            if ok is None:
+                ok = self._feasible(*decode)
+            if not ok:
+                break
+            prefill = ("prefill", buckets[n], sb)
+            ok = verdicts.get(prefill)
+            if ok is None:
+                ok = self._feasible(*prefill)
+            if not ok:
                 break
             cand.reserved_kv_bytes = cand_bytes
             reserved += cand_bytes
-            worst, longest = worst_ctx, prompt
+            worst, longest = worst_ctx, sb
             joiners.append(queue.popleft())
         return joiners
 
@@ -386,8 +429,8 @@ class ServingSimulator:
 
     def _prefill(self, joiners: list[Request], t: float) -> float:
         """Run one grouped prefill; returns the completion time."""
-        pb = _bucket_batch(len(joiners))
-        sb = self._prompt_bucket(max(r.prompt_len for r in joiners))
+        pb = self._batch_buckets[len(joiners)]
+        sb = self._prompt_bucket(max([r.prompt_len for r in joiners]))
         end = t + self._cost("prefill", pb, sb).time_us
         self.prefill_steps += 1
         for r in joiners:
@@ -430,17 +473,28 @@ class ServingSimulator:
             left = r.output_len - r.generated
             if left < to_complete:
                 to_complete = left
-        ctx_bucket = self._ctx_bucket(ctx)
-        try:
-            dt = self._cost("decode", batch_bucket, ctx_bucket).time_us
-        except DeviceMemoryError as err:  # admission guaranteed it fits
-            raise ExecutionError(
-                "decode step infeasible after admission — the admission "
-                "check reserves the worst-case geometry: a simulator bug"
-            ) from err
+        # _ctx_bucket and _cost, inline: a priced geometry is one probe
+        q, cap = self.ctx_quantum, self.max_context
+        ctx_bucket = -(-ctx // q) * q
+        if ctx_bucket > cap:
+            ctx_bucket = cap
+        cost = self._costs.get(("decode", batch_bucket, ctx_bucket))
+        if cost is None:
+            try:
+                cost = self._cost("decode", batch_bucket, ctx_bucket)
+            except DeviceMemoryError as err:  # admission guaranteed it fits
+                raise ExecutionError(
+                    "decode step infeasible after admission — the admission "
+                    "check reserves the worst-case geometry: a simulator bug"
+                ) from err
+        else:
+            self.runtime.lookups += 1
+        dt = cost.time_us
         # the largest context leaves its bucket — or, in the last bucket,
         # passes the cap and truncates — or the first member completes
-        steps = min(ctx_bucket - ctx + 1, to_complete)
+        steps = ctx_bucket - ctx + 1
+        if to_complete < steps:
+            steps = to_complete
         if until == math.inf:
             for _ in range(steps):
                 t += dt
@@ -468,7 +522,7 @@ class ServingSimulator:
             if r.generated >= r.output_len:
                 r.finish_reason = "completed"
                 r.finish_us = t
-            elif r.context_len + n > self.max_context:
+            elif r.context_len + n > cap:
                 # cache-full boundary: that was the last legal step
                 r.finish_reason = "length_cap"
                 r.finish_us = t
@@ -489,9 +543,24 @@ class ServingSimulator:
                 f"(choices: {', '.join(SERVING_POLICIES)})"
             )
         self._reset_stats()
-        # fresh copies: callers serve one trace under both policies
-        work = [Request(r.rid, r.arrival_us, r.prompt_len, r.output_len)
-                for r in requests]
+        # fresh copies: callers serve one trace under both policies; each
+        # copy carries its buckets (_prompt_bucket and _reserved_ctx,
+        # inline), so admission never recomputes them
+        q, cap = self.ctx_quantum, self.config.max_seq_len
+        isfinite = math.isfinite
+        work = []
+        for r in requests:
+            if not isfinite(r.arrival_us):
+                raise DataError(
+                    f"request {r.rid}: arrival_us must be finite, "
+                    f"got {r.arrival_us}"
+                )
+            w = Request(r.rid, r.arrival_us, r.prompt_len, r.output_len)
+            sb = -(-w.prompt_len // q) * q
+            ctx = -(-(w.prompt_len + w.output_len) // q) * q
+            w.prompt_bucket = sb if sb < cap else cap
+            w.reserved_ctx = ctx if ctx < cap else cap
+            work.append(w)
         queue = deque(work)
         if policy == "continuous":
             makespan = self._run_continuous(queue)
@@ -512,6 +581,7 @@ class ServingSimulator:
         )
 
     def _run_continuous(self, queue: "deque[Request]") -> float:
+        buckets = self._batch_buckets
         batch: list[Request] = []
         t = 0.0
         # an arrived head held back (no free slot, or admission refused
@@ -521,11 +591,11 @@ class ServingSimulator:
         while queue or batch:
             if not batch and queue[0].arrival_us > t:
                 t = queue[0].arrival_us
-            if not held:
+            if not held and queue and queue[0].arrival_us <= t:
                 joiners = self._admit(queue, batch, t)
                 if joiners:
                     t = self._prefill(joiners, t)
-                    batch.extend(r for r in joiners if r.finish_us is None)
+                    batch += [r for r in joiners if r.finish_us is None]
                 held = not joiners and bool(queue) and queue[0].arrival_us <= t
             if not batch:
                 continue
@@ -533,7 +603,7 @@ class ServingSimulator:
             until = math.inf
             if queue and not held and size < self.max_batch:
                 until = queue[0].arrival_us
-            t, batch = self._advance(batch, t, _bucket_batch(size), until)
+            t, batch = self._advance(batch, t, buckets[size], until)
             held = held and len(batch) == size
         return t
 
@@ -549,7 +619,7 @@ class ServingSimulator:
             batch = [r for r in group if r.finish_us is None]
             # the admitted batch runs to completion: finished requests
             # free no slot and nobody joins until the batch drains
-            bucket = _bucket_batch(len(group))
+            bucket = self._batch_buckets[len(group)]
             while batch:
                 t, batch = self._advance(batch, t, bucket, math.inf)
         return t

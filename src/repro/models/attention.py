@@ -27,7 +27,7 @@ from .. import ht
 from ..ht import functional as F
 from ..ht.tensor import Parameter, Tensor
 from ..util.errors import ConfigError, ShapeError
-from ..util.rng import derive, make_rng
+from ..util.rng import derive, module_rng
 from .config import AttentionConfig
 
 _NEG_INF = -1.0e9
@@ -76,7 +76,7 @@ class _AttentionBase(ht.Module):
         self._name = name
         self.config = config
         d = config.d_model
-        rng = rng or make_rng()
+        rng = module_rng(rng, materialize)
         self.wq = ht.Linear(d, d, bias=False, rng=derive(rng, name, "wq"),
                             materialize=materialize, name="wq")
         self.wk = ht.Linear(d, d, bias=False, rng=derive(rng, name, "wk"),
@@ -178,7 +178,7 @@ class PerformerAttention(_AttentionBase):
         name: str = "performer",
     ):
         super().__init__(config, rng=rng, materialize=materialize, name=name)
-        rng = rng or make_rng()
+        rng = module_rng(rng, materialize)
         m = config.performer_features
         dh = config.head_dim
         data = None

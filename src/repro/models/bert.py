@@ -13,7 +13,7 @@ from .. import ht
 from ..ht import functional as F
 from ..ht.tensor import Tensor
 from ..util.errors import ShapeError
-from ..util.rng import derive, make_rng
+from ..util.rng import derive, module_rng
 from .config import LLMConfig
 from .transformer import TransformerStack
 
@@ -26,7 +26,7 @@ class MLMHead(ht.Module):
                  materialize: bool = True, name: str = "mlm_head"):
         super().__init__()
         self._name = name
-        rng = rng or make_rng()
+        rng = module_rng(rng, materialize)
         self.dense = ht.Linear(d_model, d_model, rng=derive(rng, name, "dense"),
                                materialize=materialize, name="dense")
         self.ln = ht.LayerNorm(d_model, materialize=materialize, name="ln")
@@ -54,7 +54,7 @@ class BertForMaskedLM(ht.Module):
         super().__init__()
         self._name = name
         self.config = config
-        rng = rng or make_rng()
+        rng = module_rng(rng, materialize)
         d = config.d_model
         self.tok_embed = ht.Embedding(
             config.vocab_size, d, rng=derive(rng, name, "tok"),

@@ -14,7 +14,7 @@ from .. import ht
 from ..ht import functional as F
 from ..ht.tensor import Tensor
 from ..util.errors import ConfigError
-from ..util.rng import derive, make_rng
+from ..util.rng import derive, module_rng
 
 
 class FeedForward(ht.Module):
@@ -35,7 +35,7 @@ class FeedForward(ht.Module):
             raise ConfigError(f"unsupported FFN activation {activation!r}")
         self._name = name
         self.activation = activation
-        rng = rng or make_rng()
+        rng = module_rng(rng, materialize)
         hidden = d_model * ffn_mult
         # GLU consumes two gates worth of hidden width and halves it back.
         first_out = hidden * 2 if activation == "glu" else hidden

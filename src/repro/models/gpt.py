@@ -15,7 +15,7 @@ from .. import ht
 from ..ht import functional as F
 from ..ht.tensor import Tensor
 from ..util.errors import ConfigError, ShapeError
-from ..util.rng import derive, make_rng
+from ..util.rng import derive, module_rng
 from .config import LLMConfig
 from .transformer import TransformerStack
 
@@ -39,7 +39,7 @@ class GPT2LMHeadModel(ht.Module):
             )
         self._name = name
         self.config = config
-        rng = rng or make_rng()
+        rng = module_rng(rng, materialize)
         d = config.d_model
         self.tok_embed = ht.Embedding(
             config.vocab_size, d, rng=derive(rng, name, "tok"),

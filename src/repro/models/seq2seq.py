@@ -16,7 +16,7 @@ from .. import ht
 from ..ht import functional as F
 from ..ht.tensor import Tensor
 from ..util.errors import ShapeError
-from ..util.rng import derive, make_rng
+from ..util.rng import derive, module_rng
 from .attention import _AttentionBase, _merge_heads, _split_heads, build_attention
 from .config import AttentionConfig, LayerConfig, LLMConfig
 from .feedforward import FeedForward
@@ -56,7 +56,7 @@ class DecoderLayer(ht.Module):
         super().__init__()
         self._name = name
         self.config = config
-        rng = rng or make_rng()
+        rng = module_rng(rng, materialize)
         d = config.d_model
         self.self_attn = build_attention(
             config.attention, rng=derive(rng, name, "self"),
@@ -101,7 +101,7 @@ class EncoderDecoderTransformer(ht.Module):
 
         self._name = name
         self.config = config
-        rng = rng or make_rng()
+        rng = module_rng(rng, materialize)
         d = config.d_model
         enc_layer = LayerConfig(
             attention=AttentionConfig(

@@ -13,7 +13,7 @@ import numpy as np
 from .. import ht
 from ..ht import functional as F
 from ..ht.tensor import Tensor
-from ..util.rng import derive, make_rng
+from ..util.rng import derive, module_rng
 from .attention import build_attention
 from .config import LayerConfig
 from .feedforward import FeedForward
@@ -33,7 +33,7 @@ class TransformerLayer(ht.Module):
         super().__init__()
         self._name = name
         self.config = config
-        rng = rng or make_rng()
+        rng = module_rng(rng, materialize)
         d = config.d_model
         self.attn = build_attention(
             config.attention, rng=derive(rng, name, "attn"),
@@ -83,7 +83,7 @@ class TransformerStack(ht.Module):
     ):
         super().__init__()
         self._name = name
-        rng = rng or make_rng()
+        rng = module_rng(rng, materialize)
         #: when set, each layer records as a checkpoint segment: its
         #: internal activations become droppable and the memory
         #: planner may recompute them before backward instead of

@@ -131,6 +131,8 @@ class TestTypedErrors:
         (["sweep", "--model", "gpt", "--card", "8", "--boxes", "2",
           "--backend", "wse"], "models a single device"),
         (["--bucket-mb", "-5", "ablation-comm"], "bucket_mb must be > 0"),
+        (["serve", "--rate", "nan", "--requests", "10"],
+         "arrival_rate_per_s must be finite"),
     ])
     def test_bad_flags_exit_2(self, capsys, argv, message):
         assert main(argv) == 2

@@ -2,7 +2,8 @@
 
 :func:`repro.util.gc_paused` turns CPython's cyclic garbage collector
 off over ``ht.record``, ``GraphCompiler.compile``, ``Runtime.execute``,
-``HLS1Runtime.execute`` and ``ServingSimulator.run``. That costs
+``HLS1Runtime.execute``, ``generate_requests`` and
+``ServingSimulator.run``. That costs
 nothing only if those calls create no reference cycles: reference
 counting then frees everything they allocate, and a collection inside
 them would find nothing to free. The premise tests run each call with
@@ -204,3 +205,11 @@ class TestNoCyclicGarbage:
                 sim.run(trace, policy)
 
         assert _cyclic_garbage(serve) == 0
+
+    def test_trace_generation(self):
+        def generate():
+            """Draw a request trace; keep nothing."""
+            generate_requests(2000, 40.0, seed=3)
+
+        assert _cyclic_garbage(generate) == 0
+        assert _cyclic_garbage(generate) == 0

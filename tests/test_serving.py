@@ -346,6 +346,22 @@ class TestServingValidation:
         with pytest.raises(DataError, match="arrival_rate"):
             generate_requests(5, 0.0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rate(self, rate):
+        # NaN arrivals are neither before nor after any time, so a NaN
+        # rate would spin both policies forever; inf puts every arrival
+        # at t=0
+        with pytest.raises(DataError, match="must be finite and > 0"):
+            generate_requests(5, rate)
+
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("policy", ["static", "continuous"])
+    def test_non_finite_arrival(self, simulator, arrival, policy):
+        trace = generate_requests(3, 10.0, workload=SMALL_WORKLOAD)
+        trace[1].arrival_us = arrival
+        with pytest.raises(DataError, match="request 1: arrival_us"):
+            simulator.run(trace, policy)
+
     @pytest.mark.parametrize("field, bad", [
         ("prompt_range", (300, 100)),
         ("prompt_range", (0, 4)),
@@ -565,6 +581,23 @@ GOLDEN_DIGESTS = {
     "kvbound-continuous": "3c14331a2bbf7922e8c1c2273fdfb5c7e70e359c93bed23a7d7fda4bbd8da8e2",
 }
 
+#: name -> the (lookups, measured, infeasible) a scenario costs a fresh
+#: step-cost oracle: how often the loop asks, and what it makes measure
+GOLDEN_ORACLE_COUNTERS = {
+    "a15-continuous-10": (4023, 13, 0),
+    "a15-continuous-20": (4225, 16, 0),
+    "a15-continuous-40": (2979, 14, 0),
+    "a15-pressure": (878, 30, 3),
+    "a15-static-10": (3520, 15, 0),
+    "a15-static-20": (1909, 20, 0),
+    "a15-static-40": (1849, 20, 0),
+    "cap-continuous": (734, 8, 0),
+    "cap-static": (711, 7, 0),
+    "knee-continuous": (5567, 17, 0),
+    "knee-static": (2519, 20, 0),
+    "kvbound-continuous": (2375, 32, 11),
+}
+
 
 @pytest.fixture(scope="module")
 def runtimes():
@@ -597,6 +630,16 @@ class TestServingGoldens:
     @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
     def test_golden_digest(self, runtimes, name):
         result = _golden_run(runtimes, name)
+        assert _serving_digest(result) == GOLDEN_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    def test_oracle_counters(self, name):
+        # a fresh oracle per scenario: the counters must not depend on
+        # which scenarios warmed a shared memo first
+        runtime = ServingRuntime(hbm_budget=GOLDEN_SCENARIOS[name][3])
+        result = _golden_run(lambda budget: runtime, name)
+        counters = (runtime.lookups, runtime.measured, runtime.infeasible)
+        assert counters == GOLDEN_ORACLE_COUNTERS[name]
         assert _serving_digest(result) == GOLDEN_DIGESTS[name]
 
     def test_cap_scenario_truncates(self, runtimes):

@@ -1,8 +1,20 @@
 """Unit tests for repro.util.tabulate and repro.util.rng."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.models import (
+    BertForMaskedLM,
+    GPT2LMHeadModel,
+    paper_bert_config,
+    paper_gpt_config,
+    paper_layer_config,
+    tiny_bert_config,
+    tiny_gpt_config,
+)
+from repro.models.transformer import TransformerLayer
 from repro.util import rng as rng_mod
 from repro.util.tabulate import render_kv, render_table
 
@@ -74,3 +86,46 @@ class TestRng:
         a = rng_mod.derive(parent, "a").random(5)
         b = rng_mod.derive(parent, "b").random(5)
         assert not np.array_equal(a, b)
+
+
+def _weights_digest(model) -> str:
+    h = hashlib.sha256()
+    for p in model.parameters():
+        h.update(np.ascontiguousarray(p.data).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestModuleRng:
+    def test_symbolic_builds_derive_no_streams(self, monkeypatch):
+        def drawn(*args, **kwargs):
+            raise AssertionError("a symbolic build derived an RNG stream")
+
+        monkeypatch.setattr(np.random, "SeedSequence", drawn)
+        monkeypatch.setattr(np.random, "default_rng", drawn)
+        GPT2LMHeadModel(paper_gpt_config(), materialize=False)
+        BertForMaskedLM(paper_bert_config(), materialize=False)
+        TransformerLayer(paper_layer_config("performer"), materialize=False)
+
+    def test_concrete_weights_unchanged(self):
+        # digests of the weights a concrete build draws: skipping the
+        # symbolic derivations must not move a single stream
+        assert _weights_digest(GPT2LMHeadModel(tiny_gpt_config())) == (
+            "f0487dbeb7d9befe"
+        )
+        assert _weights_digest(BertForMaskedLM(tiny_bert_config())) == (
+            "28d4f1f35ea54c28"
+        )
+        seeded = GPT2LMHeadModel(
+            tiny_gpt_config(), rng=np.random.default_rng(5)
+        )
+        assert _weights_digest(seeded) == "3e40cb36406555b3"
+
+    def test_module_rng(self):
+        assert rng_mod.module_rng(rng_mod.make_rng(1), False) is None
+        assert rng_mod.derive(None, "a", "b") is None
+        given = rng_mod.make_rng(1)
+        assert rng_mod.module_rng(given, True) is given
+        np.testing.assert_array_equal(
+            rng_mod.module_rng(None, True).random(3),
+            rng_mod.make_rng().random(3),
+        )
