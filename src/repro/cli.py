@@ -55,7 +55,7 @@ from .synapse import (
     set_default_compiler_options,
     set_default_recipe_cache_dir,
 )
-from .util.errors import ReproError
+from .util.errors import ConfigError, ReproError
 
 
 def _simple(run: Callable[[], object]) -> tuple[str, list[ShapeCheck]]:
@@ -415,6 +415,8 @@ def _run(args: argparse.Namespace) -> int:
     not another ran earlier in the same process.
     """
     global _CLI_CARDS, _CLI_JOBS
+    if args.cards is not None and args.cards < 1:
+        raise ConfigError(f"--cards must be >= 1, got {args.cards}")
     options = CompilerOptions()
     if args.disable_pass:
         options = disable_passes(options, *args.disable_pass)

@@ -642,6 +642,10 @@ def sweep_spec_from_cli(
         get_backend(name)  # raises ConfigError on unknown backends
     if tp < 1 or pp < 1:
         raise ConfigError(f"tp/pp must be >= 1, got tp={tp} pp={pp}")
+    batches_t, seq_lens_t = tuple(batches), tuple(seq_lens)
+    for flag, values in (("batch", batches_t), ("seq-len", seq_lens_t)):
+        if any(v < 1 for v in values):
+            raise ConfigError(f"--{flag} must be >= 1, got {min(values)}")
     if auto_layout and (tp > 1 or pp > 1):
         raise ConfigError("--auto-layout already picks tp/pp; drop "
                          "the explicit --tp/--pp flags")
@@ -652,8 +656,8 @@ def sweep_spec_from_cli(
         raise ConfigError("--auto-layout plans HLS-1 populations; the "
                          "backend axis must stay gaudi")
     models_t = tuple(models) or ("gpt",)
-    batches_t = tuple(batches) or (None,)
-    seq_lens_t = tuple(seq_lens) or (None,)
+    batches_t = batches_t or (None,)
+    seq_lens_t = seq_lens_t or (None,)
     cards_t = tuple(cards) or (1,)
     boxes_t = tuple(boxes) or (1,)
     if auto_layout:

@@ -133,6 +133,12 @@ class TestTypedErrors:
         (["--bucket-mb", "-5", "ablation-comm"], "bucket_mb must be > 0"),
         (["serve", "--rate", "nan", "--requests", "10"],
          "arrival_rate_per_s must be finite"),
+        (["--cards", "0", "scaling"], "--cards must be >= 1, got 0"),
+        (["--cards", "-2", "scaling"], "--cards must be >= 1, got -2"),
+        (["sweep", "--model", "gpt", "--batch", "0"],
+         "--batch must be >= 1"),
+        (["sweep", "--model", "gpt", "--seq-len", "0"],
+         "--seq-len must be >= 1"),
     ])
     def test_bad_flags_exit_2(self, capsys, argv, message):
         assert main(argv) == 2
