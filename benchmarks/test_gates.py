@@ -41,7 +41,7 @@ from repro.hw.config import HLS1Config, TPCClusterConfig
 from repro.hw.costmodel import EngineKind
 from repro.hw.device import HLS1Device
 from repro.hw.dtypes import DType
-from repro.synapse import GraphCompiler, default_compiler_options
+from repro.synapse import CompilerOptions, GraphCompiler
 from repro.synapse.runtime import HLS1Runtime
 from repro.synapse.serving import ServingRuntime
 from repro.tpc.kernels import REGISTRY
@@ -185,7 +185,7 @@ def measure_sim_throughput(thresholds):
     """
     hls1 = HLS1Config()
     options = dataclasses.replace(
-        default_compiler_options(), inject_collectives=True
+        CompilerOptions(), inject_collectives=True
     )
     schedule = GraphCompiler(hls1.card, options).compile(
         record_training_step("gpt").graph

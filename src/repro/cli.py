@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Callable
+from typing import Any, Callable
 
 from .core import (
     SWEEP_POLICIES,
@@ -43,106 +43,97 @@ from .core import (
     run_serving_ablation,
     run_tpc_core_sweep,
 )
-from .core.reference import ShapeCheck
 from .hw.device import default_device
 from .synapse import (
     DEFAULT_RECIPE_CACHE_DIR,
     PASS_OPTION_FLAGS,
     CompilerOptions,
-    default_compiler_options,
     default_recipe_cache_dir,
     disable_passes,
-    set_default_compiler_options,
     set_default_recipe_cache_dir,
 )
 from .util.errors import ConfigError, ReproError
 
 
-def _simple(run: Callable[[], object]) -> tuple[str, list[ShapeCheck]]:
-    result = run()
-    return result.render(), result.checks()
+#: builds one experiment's result (``render()`` + ``checks()``) from the
+#: run's compiler options, ``--cards`` (None when not given) and ``--jobs``
+Runner = Callable[[CompilerOptions, int | None, int], Any]
+
+#: the commands that read ``--cards``; every other one refuses it
+CARDS_COMMANDS = ("scaling", "ablation-comm")
 
 
-#: CLI-selected HLS-1 population for the multi-card experiments
-#: (``--cards``); ``None`` means each experiment's default sweep
-_CLI_CARDS: int | None = None
-
-#: CLI-selected process-pool width (``--jobs``) for the simulations
-#: that can fan out; 1 keeps everything in-process
-_CLI_JOBS: int = 1
+def _with_options(run: Callable[..., Any], *args: Any) -> Runner:
+    """A runner that hands the run's compiler options to ``run``."""
+    return lambda options, cards, jobs: run(*args, options=options)
 
 
-def _scaling() -> tuple[str, list[ShapeCheck]]:
-    if _CLI_CARDS is None:
-        return _simple(lambda: run_scaling_study(jobs=_CLI_JOBS))
-    counts = tuple(p for p in (1, 2, 4, 8) if p <= _CLI_CARDS)
-    return _simple(
-        lambda: run_scaling_study(card_counts=counts, jobs=_CLI_JOBS)
+def _scaling(options: CompilerOptions, cards: int | None, jobs: int) -> Any:
+    counts = tuple(p for p in (1, 2, 4, 8) if cards is None or p <= cards)
+    return run_scaling_study(card_counts=counts, jobs=jobs, options=options)
+
+
+def _comm_ablation(
+    options: CompilerOptions, cards: int | None, jobs: int
+) -> Any:
+    return run_comm_overlap_ablation(
+        num_cards=cards or 8, jobs=jobs, options=options
     )
 
 
-def _comm_ablation() -> tuple[str, list[ShapeCheck]]:
-    cards = _CLI_CARDS if _CLI_CARDS is not None else 8
-    return _simple(
-        lambda: run_comm_overlap_ablation(num_cards=cards, jobs=_CLI_JOBS)
-    )
-
-
-EXPERIMENTS: dict[str, tuple[str, Callable[[], tuple[str, list[ShapeCheck]]]]] = {
+EXPERIMENTS: dict[str, tuple[str, Runner]] = {
     "table1": ("Table 1: operation-engine mapping",
-               lambda: _simple(run_op_mapping)),
+               _with_options(run_op_mapping)),
     "table2": ("Table 2: MME vs TPC batched matmul",
-               lambda: _simple(run_mme_vs_tpc)),
+               lambda options, cards, jobs: run_mme_vs_tpc()),
     "fig4-6": ("Figures 4-6: attention-variant layer profiles",
-               lambda: _simple(run_attention_study)),
+               _with_options(run_attention_study)),
     "fig7": ("Figure 7: activation functions",
-             lambda: _simple(run_activation_study)),
+             _with_options(run_activation_study)),
     "fig8": ("Figure 8: GPT end-to-end training step",
-             lambda: _simple(lambda: run_e2e("gpt"))),
+             _with_options(run_e2e, "gpt")),
     "fig9": ("Figure 9: BERT end-to-end training step",
-             lambda: _simple(lambda: run_e2e("bert"))),
+             _with_options(run_e2e, "bert")),
     "seq-sweep": ("Long-sequence sweep (challenge #3)",
-                  lambda: _simple(run_seq_sweep)),
+                  _with_options(run_seq_sweep)),
     "ablation-reorder": ("A1: issue-order ablation",
-                         lambda: _simple(run_reorder_ablation)),
+                         _with_options(run_reorder_ablation)),
     "ablation-fusion": ("A2: elementwise-fusion ablation",
-                        lambda: _simple(run_fusion_ablation)),
+                        _with_options(run_fusion_ablation)),
     "ablation-tpc-cores": ("A3: TPC core-count sweep",
-                           lambda: _simple(run_tpc_core_sweep)),
-    "scaling": ("A4: HLS-1 multi-card scaling extension",
-                _scaling),
+                           _with_options(run_tpc_core_sweep)),
+    "scaling": ("A4: HLS-1 multi-card scaling extension", _scaling),
     "chunked": ("A5: chunked-attention extension",
-                lambda: _simple(run_chunked_attention_study)),
+                _with_options(run_chunked_attention_study)),
     "pipelined": ("A6: pipelined exact-attention extension",
-                  lambda: _simple(run_pipelined_attention_study)),
+                  _with_options(run_pipelined_attention_study)),
     "gaudi2": ("A7: Gaudi2 what-if extension",
-               lambda: _simple(run_generation_comparison)),
-    "energy": ("A8: energy extension",
-               lambda: _simple(run_energy_study)),
+               _with_options(run_generation_comparison)),
+    "energy": ("A8: energy extension", _with_options(run_energy_study)),
     "decode": ("A9: KV-cached decode extension",
-               lambda: _simple(run_decode_study)),
+               _with_options(run_decode_study)),
     "ablation-passes": ("A10: per-pass toggle ablation",
-                        lambda: _simple(run_pass_toggle_ablation)),
+                        _with_options(run_pass_toggle_ablation)),
     "ablation-hbm": ("A11: HBM contention ablation",
-                     lambda: _simple(run_hbm_contention_ablation)),
+                     _with_options(run_hbm_contention_ablation)),
     "ablation-comm": ("A12: communication-overlap ablation",
                       _comm_ablation),
     "ablation-overlap": ("A13: overlap scheduler ablation",
-                         lambda: _simple(run_overlap_scheduler_ablation)),
+                         _with_options(run_overlap_scheduler_ablation)),
     "ablation-memory": ("A14: memory planning ablation",
-                        lambda: _simple(run_memory_ablation)),
+                        _with_options(run_memory_ablation)),
     "ablation-serving": ("A15: static vs continuous batching",
-                         lambda: _simple(run_serving_ablation)),
+                         _with_options(run_serving_ablation)),
     "ablation-parallel": ("A16: multi-box parallel layouts",
-                          lambda: _simple(run_parallel_study)),
+                          _with_options(run_parallel_study)),
     "ablation-kernels": ("A17: attention kernel pack",
-                         lambda: _simple(run_kernel_pack_ablation)),
+                         _with_options(run_kernel_pack_ablation)),
     "ablation-backends": ("A18: cross-backend comparison (Gaudi vs WSE)",
-                          lambda: _simple(run_backend_ablation)),
+                          _with_options(run_backend_ablation)),
 }
 
 
-def _lint_gate() -> int:
+def _lint_gate(options: CompilerOptions) -> int:
     """Compile the Fig-4 layer and Fig-8 GPT graphs and lint both.
 
     The CI gate: a non-zero exit means a representative paper graph no
@@ -159,7 +150,7 @@ def _lint_gate() -> int:
         layer(ht.input_tensor((8, 256, layer_cfg.d_model)))
     graphs = [rec.graph, record_training_step("gpt", batch=2,
                                               seq_len=128).graph]
-    compiler = GraphCompiler(options=default_compiler_options())
+    compiler = GraphCompiler(options=options)
     for graph in graphs:
         schedule = compiler.compile(graph)
         warnings = lint_graph(graph)
@@ -175,7 +166,10 @@ def _lint_gate() -> int:
     return 0
 
 
-def _profile_self(scenario: str, top: int) -> int:
+def _profile_self(
+    scenario: str, top: int, options: CompilerOptions, cards: int | None,
+    jobs: int,
+) -> int:
     """cProfile one named experiment, print the top cumulative frames.
 
     The self-measurement loop behind the simulator-performance work:
@@ -189,7 +183,7 @@ def _profile_self(scenario: str, top: int) -> int:
     print(f"== profile-self: {title} ==")
     profiler = cProfile.Profile()
     profiler.enable()
-    runner()
+    runner(options, cards, jobs)
     profiler.disable()
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats("cumulative").print_stats(top)
@@ -222,8 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cards", type=int, default=None, metavar="N",
-        help="HLS-1 population for multi-card experiments "
-             "(power of two <= 8; caps the A4 sweep, sets A12's box)",
+        help="HLS-1 population for the multi-card experiments "
+             "(power of two <= 8; caps the A4 sweep, sets A12's box; "
+             "every other command refuses it)",
     )
     parser.add_argument(
         "--bucket-mb", type=float, default=None, metavar="MB",
@@ -407,16 +402,24 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Apply the global flags for one invocation, then dispatch.
+    """Resolve the global flags for one invocation, then dispatch.
 
-    Options start from :class:`CompilerOptions` defaults, not from the
-    process-wide ones, and every process default the flags set is
-    restored afterwards — so an invocation behaves the same whether or
-    not another ran earlier in the same process.
+    The flags build one :class:`CompilerOptions` from its defaults,
+    which travels down as an argument. The recipe directory is the one
+    process-wide setting a flag touches, and it is restored afterwards
+    — so an invocation behaves the same whether or not another ran
+    earlier in the same process.
     """
-    global _CLI_CARDS, _CLI_JOBS
-    if args.cards is not None and args.cards < 1:
-        raise ConfigError(f"--cards must be >= 1, got {args.cards}")
+    if args.cards is not None:
+        if args.cards < 1:
+            raise ConfigError(f"--cards must be >= 1, got {args.cards}")
+        target = args.scenario if args.command == "profile-self" \
+            else args.command
+        if target not in CARDS_COMMANDS:
+            raise ConfigError(
+                f"--cards only applies to {' and '.join(CARDS_COMMANDS)}, "
+                f"not {target}"
+            )
     options = CompilerOptions()
     if args.disable_pass:
         options = disable_passes(options, *args.disable_pass)
@@ -440,25 +443,20 @@ def _run(args: argparse.Namespace) -> int:
     options = dataclasses.replace(
         options, **{k: v for k, v in flags.items() if v is not None}
     )
-    saved = (
-        default_compiler_options(), default_recipe_cache_dir(),
-        _CLI_CARDS, _CLI_JOBS,
-    )
-    set_default_compiler_options(options)
+    saved = default_recipe_cache_dir()
     set_default_recipe_cache_dir(args.recipe_cache_dir)
-    _CLI_CARDS = args.cards
-    _CLI_JOBS = max(1, args.jobs)
     try:
-        return _dispatch(args)
+        return _dispatch(args, options, args.cards, max(1, args.jobs))
     finally:
-        set_default_compiler_options(saved[0])
-        set_default_recipe_cache_dir(saved[1])
-        _CLI_CARDS, _CLI_JOBS = saved[2], saved[3]
+        set_default_recipe_cache_dir(saved)
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(
+    args: argparse.Namespace, options: CompilerOptions, cards: int | None,
+    jobs: int,
+) -> int:
     if args.command == "lint-gate":
-        return _lint_gate()
+        return _lint_gate(options)
 
     if args.command == "sweep":
         from .core import run_sweep, sweep_spec_from_cli
@@ -472,9 +470,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             auto_layout=args.auto_layout,
             attention=args.attention_kernel,
             backend=backend_axis,
+            options=options,
         )
         result = run_sweep(
-            spec, jobs=_CLI_JOBS, stream=args.out,
+            spec, options=options, jobs=jobs, stream=args.out,
             recipe_dir=default_recipe_cache_dir(),
         )
         print(result.render())
@@ -502,15 +501,12 @@ def _dispatch(args: argparse.Namespace) -> int:
             for rate in rates
             for policy in policies
         ]
-        serve_options = None
         if args.attention_kernel:
-            serve_options = dataclasses.replace(
-                default_compiler_options(),
-                attention_lowering=args.attention_kernel,
+            options = dataclasses.replace(
+                options, attention_lowering=args.attention_kernel
             )
         results = run_serving(
-            points, jobs=_CLI_JOBS, stream=args.out,
-            options=serve_options,
+            points, jobs=jobs, stream=args.out, options=options,
             recipe_dir=default_recipe_cache_dir(),
         )
         print(render_serving_table(
@@ -523,7 +519,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "profile-self":
-        return _profile_self(args.scenario, args.top)
+        return _profile_self(args.scenario, args.top, options, cards, jobs)
 
     if args.command == "describe":
         if args.backend is not None:
@@ -538,7 +534,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "study":
         report = run_full_study(
-            include_extensions=not args.no_extensions, jobs=_CLI_JOBS
+            options, include_extensions=not args.no_extensions, jobs=jobs
         )
         text = report.render()
         print(text)
@@ -553,7 +549,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if report.all_passed else 1
 
     title, runner = EXPERIMENTS[args.command]
-    text, checks = runner()
+    result = runner(options, cards, jobs)
+    text, checks = result.render(), result.checks()
     print(f"== {title} ==")
     print(text)
     print()

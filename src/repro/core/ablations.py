@@ -74,13 +74,13 @@ class ReorderAblationResult:
 
 
 def run_reorder_ablation(
-    kind: str = "performer", *, config: GaudiConfig | None = None
+    kind: str = "performer", *, options: CompilerOptions | None = None
 ) -> ReorderAblationResult:
     """Profile one layer in order and under the lookahead scheduler."""
+    base = options or CompilerOptions()
 
     def profile(scheduler: str) -> ProfileResult:
-        options = CompilerOptions(scheduler=scheduler)
-        return profile_layer(kind, config=config, options=options)
+        return profile_layer(kind, options=replace(base, scheduler=scheduler))
 
     return ReorderAblationResult(
         kind=kind, in_order=profile("inorder"), reordered=profile("lookahead")
@@ -139,15 +139,18 @@ class FusionAblationResult:
 
 
 def run_fusion_ablation(
-    kind: str = "softmax", *, config: GaudiConfig | None = None
+    kind: str = "softmax", *, options: CompilerOptions | None = None
 ) -> FusionAblationResult:
     """Profile one layer with fusion on and off."""
+    base = options or CompilerOptions()
     return FusionAblationResult(
         kind=kind,
-        fused=profile_layer(kind, config=config,
-                            options=CompilerOptions(fuse_elementwise=True)),
-        unfused=profile_layer(kind, config=config,
-                              options=CompilerOptions(fuse_elementwise=False)),
+        fused=profile_layer(
+            kind, options=replace(base, fuse_elementwise=True)
+        ),
+        unfused=profile_layer(
+            kind, options=replace(base, fuse_elementwise=False)
+        ),
     )
 
 
@@ -197,13 +200,15 @@ class TpcCoreSweepResult:
 def run_tpc_core_sweep(
     core_counts: tuple[int, ...] = (2, 4, 8, 16),
     *,
-    config: GaudiConfig | None = None,
+    options: CompilerOptions | None = None,
 ) -> TpcCoreSweepResult:
     """Profile the Fig 4 layer under different cluster widths."""
-    base = config or GaudiConfig()
     result = TpcCoreSweepResult([], [], [])
     for cores in core_counts:
-        res = profile_layer("softmax", config=base.with_tpc_cores(cores))
+        res = profile_layer(
+            "softmax", config=GaudiConfig().with_tpc_cores(cores),
+            options=options,
+        )
         result.core_counts.append(cores)
         result.total_ms.append(res.total_time_ms)
         result.softmax_share.append(res.softmax_tpc_share)
@@ -288,7 +293,7 @@ def run_pass_toggle_ablation(
     kind: str = "linear",
     *,
     feature_map: str = "glu",
-    config: GaudiConfig | None = None,
+    options: CompilerOptions | None = None,
 ) -> PassToggleAblationResult:
     """Profile one layer with each disableable pass off in isolation.
 
@@ -304,12 +309,12 @@ def run_pass_toggle_ablation(
         kind=kind,
         feature_map=feature_map,
         baseline=profile_layer(kind, feature_map=feature_map,
-                               config=config, **shapes),
+                               options=options, **shapes),
     )
     for name in ("elementwise_fusion", "view_elision", "dma_staging",
                  "recompile_injection"):
         result.toggled[name] = profile_layer(
-            kind, feature_map=feature_map, config=config,
+            kind, feature_map=feature_map, options=options,
             disable_passes=(name,), **shapes,
         )
     return result
@@ -516,7 +521,7 @@ class HbmContentionAblationResult:
 
 
 def _contention_pair(
-    graph, config: GaudiConfig, *, scheduler: str = "inorder"
+    graph, options: CompilerOptions | None, *, scheduler: str = "inorder"
 ) -> tuple[ProfileResult, ProfileResult]:
     """Compile once, execute under both memory models.
 
@@ -527,10 +532,10 @@ def _contention_pair(
     from ..hw.device import GaudiDevice
     from ..synapse import Runtime, SynapseProfiler
 
-    schedule = SynapseProfiler(config).compile(graph)
+    schedule = SynapseProfiler(options=options).compile(graph)
     out = []
     for contention in (True, False):
-        result = Runtime(GaudiDevice(config)).execute(
+        result = Runtime(GaudiDevice()).execute(
             schedule, scheduler=scheduler, hbm_contention=contention
         )
         timeline = result.timeline.shifted(-result.start_offset_us)
@@ -560,12 +565,11 @@ def _layer_graph(kind: str, *, feature_map: str = "elu1",
 
 
 def run_hbm_contention_ablation(
-    *, config: GaudiConfig | None = None
+    *, options: CompilerOptions | None = None
 ) -> HbmContentionAblationResult:
     """Re-run the Fig 4-9 + A1/A6 workloads with contention on/off."""
     from .e2e_llm import record_training_step
 
-    config = config or GaudiConfig()
     result = HbmContentionAblationResult()
 
     # the "(A1)" row runs the greedy scheduler, not A1's lookahead
@@ -585,26 +589,26 @@ def run_hbm_contention_ablation(
     ]
     for name, graph, scheduler in workloads:
         contended, uncontended = _contention_pair(
-            graph, config, scheduler=scheduler
+            graph, options, scheduler=scheduler
         )
         result.rows.append(ContentionRow(name, contended, uncontended))
     return result
 
 
 def run_pipelined_attention_study(
-    *, chunk_size: int = 256, config: GaudiConfig | None = None
+    *, chunk_size: int = 256, options: CompilerOptions | None = None
 ) -> PipelinedAttentionResult:
     """Profile monolithic vs pipelined exact attention at Fig 4 shapes."""
     from .. import ht
     from ..models import TransformerLayer, paper_layer_config
     from ..synapse import SynapseProfiler
 
-    baseline = profile_layer("softmax", config=config)
+    baseline = profile_layer("softmax", options=options)
     layer_cfg = paper_layer_config("pipelined", chunk_size=chunk_size)
     layer = TransformerLayer(layer_cfg, materialize=False)
     with ht.record("pipelined", mode="symbolic") as rec:
         layer(ht.input_tensor((128, 2048, layer_cfg.d_model)))
-    pipelined = SynapseProfiler(config or GaudiConfig()).profile(rec.graph)
+    pipelined = SynapseProfiler(options=options).profile(rec.graph)
     return PipelinedAttentionResult(baseline, pipelined, chunk_size)
 
 
@@ -612,7 +616,7 @@ def run_chunked_attention_study(
     seq_lens: tuple[int, ...] = (512, 1024, 2048, 4096),
     *,
     chunk_size: int = 256,
-    config: GaudiConfig | None = None,
+    options: CompilerOptions | None = None,
 ) -> ChunkedAttentionResult:
     """Sweep sequence lengths for both attention layouts."""
     from .. import ht
@@ -627,6 +631,6 @@ def run_chunked_attention_study(
             layer = TransformerLayer(layer_cfg, materialize=False)
             with ht.record(f"{kind}-{n}", mode="symbolic") as rec:
                 layer(ht.input_tensor((32, n, layer_cfg.d_model)))
-            res = SynapseProfiler(config or GaudiConfig()).profile(rec.graph)
+            res = SynapseProfiler(options=options).profile(rec.graph)
             sink.append(res.total_time_ms)
     return result

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..hw.config import GaudiConfig
 from ..hw.costmodel import EngineKind
-from ..synapse import ProfileResult, ascii_timeline
+from ..synapse import CompilerOptions, ProfileResult, ascii_timeline
 from .attention_study import profile_layer
 from .reference import FIG7_ACTIVATION_MS, ShapeCheck, threshold_check
 
@@ -112,11 +111,11 @@ class ActivationStudyResult:
 
 
 def run_activation_study(
-    config: GaudiConfig | None = None,
+    options: CompilerOptions | None = None,
 ) -> ActivationStudyResult:
     """Profile the four Fig 7 feature-map activations."""
     profiles = {
-        act: profile_layer("linear", feature_map=act, config=config)
+        act: profile_layer("linear", feature_map=act, options=options)
         for act in ACTIVATIONS
     }
     return ActivationStudyResult(profiles)

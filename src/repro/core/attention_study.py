@@ -24,7 +24,6 @@ from ..synapse import (
     ProfileResult,
     SynapseProfiler,
     ascii_timeline,
-    default_compiler_options,
 )
 from ..synapse import disable_passes as _disable_passes
 from .insights import describe_insights, gap_overlap_fraction
@@ -63,7 +62,7 @@ def profile_layer(
     seq_len = seq_len or shapes["seq_len"]
     if disable_passes:
         options = _disable_passes(
-            options or default_compiler_options(), *disable_passes
+            options or CompilerOptions(), *disable_passes
         )
     layer_cfg = paper_layer_config(kind, feature_map=feature_map)
     layer = TransformerLayer(layer_cfg, materialize=False)
@@ -168,16 +167,16 @@ class AttentionStudyResult:
 
 
 def run_attention_study(
-    config: GaudiConfig | None = None,
+    options: CompilerOptions | None = None,
     *,
     include_backward: bool = False,
 ) -> AttentionStudyResult:
     """Profile the three §3.3 attention variants."""
     return AttentionStudyResult(
-        softmax=profile_layer("softmax", config=config,
+        softmax=profile_layer("softmax", options=options,
                               include_backward=include_backward),
-        linear=profile_layer("linear", config=config,
+        linear=profile_layer("linear", options=options,
                              include_backward=include_backward),
-        performer=profile_layer("performer", config=config,
+        performer=profile_layer("performer", options=options,
                                 include_backward=include_backward),
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 from ..hw.config import HLS1Config
 from ..hw.device import HLS1Device
-from ..synapse import GraphCompiler, default_compiler_options
+from ..synapse import CompilerOptions, GraphCompiler
 from ..synapse.recipe import RecipeCache
 from ..synapse.runtime import HLS1Runtime
 from ..util.errors import CompileError, DeviceMemoryError
@@ -148,12 +148,15 @@ class LayoutPlanner:
         seq_len: int = 256,
         hls1: HLS1Config | None = None,
         cards_per_box: int = 8,
+        options: CompilerOptions | None = None,
     ):
         self.model_name = model_name
         self.batch = batch
         self.seq_len = seq_len
         self.hls1 = hls1 or HLS1Config()
         self.cards_per_box = cards_per_box
+        #: the base each candidate's parallelism overrides apply to
+        self.options = options or CompilerOptions()
         self._graphs: dict[int, object] = {}
         self._cache = RecipeCache()
 
@@ -177,7 +180,7 @@ class LayoutPlanner:
             else self.batch
         )
         options = replace(
-            default_compiler_options(),
+            self.options,
             inject_collectives=True,
             bucket_mb=layout.bucket_mb,
             tp=layout.tp,
@@ -393,7 +396,7 @@ def run_parallel_study(
     batch: int = 8,
     seq_len: int = 256,
     cards_per_box: int = 8,
-    hls1: HLS1Config | None = None,
+    options: CompilerOptions | None = None,
     tp_grid: tuple[int, ...] = (1, 4),
     pp_grid: tuple[int, ...] = (1, 4),
     microbatch_grid: tuple[int, ...] = (1, 8),
@@ -410,8 +413,8 @@ def run_parallel_study(
     )
     for model in models:
         planner = LayoutPlanner(
-            model, batch=batch, seq_len=seq_len, hls1=hls1,
-            cards_per_box=cards_per_box,
+            model, batch=batch, seq_len=seq_len,
+            cards_per_box=cards_per_box, options=options,
         )
         base = planner.price(ParallelLayout())
         base_thr = planner.samples_per_s(base)

@@ -34,9 +34,8 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from ..hw.backend import Backend, get_backend
-from ..hw.config import GaudiConfig
 from ..hw.costmodel import EngineKind, OpClass
-from ..synapse import ProfileResult, SynapseProfiler, default_compiler_options
+from ..synapse import CompilerOptions, ProfileResult, SynapseProfiler
 from ..util.tabulate import render_table
 from ..util.units import fmt_bytes
 from .reference import E2E_SHAPES, ShapeCheck, threshold_check
@@ -212,7 +211,7 @@ class BackendStudyResult:
 
 
 def run_backend_ablation(
-    config: GaudiConfig | None = None,
+    options: CompilerOptions | None = None,
 ) -> BackendStudyResult:
     """Profile the Fig-4 layer and both §3.4 training steps under every
     registered study backend; the Gaudi cells double as the refactor's
@@ -220,22 +219,18 @@ def run_backend_ablation(
     from .attention_study import profile_layer
     from .e2e_llm import record_training_step
 
-    base = default_compiler_options()
+    base = options or CompilerOptions()
     result = BackendStudyResult()
     steps = {
         model: record_training_step(model).graph
         for model in ("gpt", "bert")
     }
     for name in STUDY_BACKENDS:
-        options = dataclasses.replace(base, backend=name)
+        retargeted = dataclasses.replace(base, backend=name)
         by_workload = result.profiles.setdefault(name, {})
-        by_workload["layer"] = profile_layer(
-            "softmax", config=config, options=options
-        )
+        by_workload["layer"] = profile_layer("softmax", options=retargeted)
         for model, graph in steps.items():
-            profiler = SynapseProfiler(
-                config if name == "gaudi" else None, options
-            )
+            profiler = SynapseProfiler(options=retargeted)
             by_workload[model] = profiler.profile(graph)
-    result.baseline_layer = profile_layer("softmax", config=config)
+    result.baseline_layer = profile_layer("softmax", options=options)
     return result

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..hw.config import GaudiConfig
 from ..hw.costmodel import EngineKind
 from ..models import paper_gpt_config
 from ..models.kvcache import record_decode_step
-from ..synapse import ProfileResult, SynapseProfiler
+from ..synapse import CompilerOptions, ProfileResult, SynapseProfiler
 from ..util.errors import DataError
 from ..util.tabulate import render_table
 from ..util.units import tflops
@@ -132,21 +131,22 @@ def run_decode_study(
     contexts: tuple[int, ...] = DEFAULT_CONTEXTS,
     *,
     batch: int = 1,
-    config: GaudiConfig | None = None,
+    options: CompilerOptions | None = None,
 ) -> DecodeStudyResult:
     """Profile decode steps across context lengths."""
-    config = config or GaudiConfig()
     model_cfg = paper_gpt_config()
     result = DecodeStudyResult(list(contexts), batch)
     for context in contexts:
         rec = record_decode_step(model_cfg, batch=batch,
                                  context_len=context)
-        result.profiles.append(SynapseProfiler(config).profile(rec.graph))
+        result.profiles.append(
+            SynapseProfiler(options=options).profile(rec.graph)
+        )
 
     # training-time comparison point: the Fig 8 step's MME rate
     from .e2e_llm import record_training_step
 
-    train = SynapseProfiler(config).profile(
+    train = SynapseProfiler(options=options).profile(
         record_training_step("gpt").graph
     )
     mme_flops = sum(

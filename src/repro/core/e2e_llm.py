@@ -30,7 +30,12 @@ from ..models import (
     paper_bert_config,
     paper_gpt_config,
 )
-from ..synapse import ProfileResult, SynapseProfiler, ascii_timeline
+from ..synapse import (
+    CompilerOptions,
+    ProfileResult,
+    SynapseProfiler,
+    ascii_timeline,
+)
 from ..util.errors import DataError, DeviceMemoryError
 from .insights import describe_insights, gap_overlap_fraction, imbalance_index
 from .reference import E2E_SHAPES, ShapeCheck, threshold_check
@@ -217,17 +222,17 @@ def run_e2e(
     model_name: str,
     *,
     config: GaudiConfig | None = None,
+    options: CompilerOptions | None = None,
     large_batch: int = 128,
 ) -> E2EProfileResult:
     """Profile one model's training step and the OOM boundary."""
-    config = config or GaudiConfig()
     rec = record_training_step(model_name)
-    profile = SynapseProfiler(config).profile(rec.graph)
+    profile = SynapseProfiler(config, options).profile(rec.graph)
 
     oom = False
     try:
         big = record_training_step(model_name, batch=large_batch)
-        SynapseProfiler(config).compile(big.graph)
+        SynapseProfiler(config, options).compile(big.graph)
     except DeviceMemoryError:
         oom = True
     return E2EProfileResult(model_name, profile, oom, large_batch,
@@ -238,18 +243,18 @@ def max_batch_that_fits(
     model_name: str,
     *,
     config: GaudiConfig | None = None,
+    options: CompilerOptions | None = None,
     candidates: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128),
 ) -> int:
     """Largest candidate batch whose memory plan fits HBM.
 
     The paper's implied sweep: why 8 and not 128.
     """
-    config = config or GaudiConfig()
     best = 0
     for batch in candidates:
         try:
             rec = record_training_step(model_name, batch=batch)
-            SynapseProfiler(config).compile(rec.graph)
+            SynapseProfiler(config, options).compile(rec.graph)
             best = batch
         except DeviceMemoryError:
             break

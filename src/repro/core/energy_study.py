@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import ht
-from ..hw.config import GaudiConfig
 from ..hw.energy import EnergyBreakdown, EnergyConfig, schedule_energy
 from ..models import TransformerLayer, paper_layer_config
-from ..synapse import SynapseProfiler
+from ..synapse import CompilerOptions, SynapseProfiler
 from ..util.tabulate import render_table
 from .reference import LAYER_STUDY_SHAPES, ShapeCheck, threshold_check
 
@@ -95,11 +94,10 @@ class EnergyStudyResult:
 
 
 def run_energy_study(
-    config: GaudiConfig | None = None,
+    options: CompilerOptions | None = None,
     energy: EnergyConfig | None = None,
 ) -> EnergyStudyResult:
     """Profile every variant and attach the energy model."""
-    config = config or GaudiConfig()
     shapes = LAYER_STUDY_SHAPES
     result = EnergyStudyResult(list(VARIANTS))
     for variant in VARIANTS:
@@ -109,7 +107,7 @@ def run_energy_study(
             layer(ht.input_tensor(
                 (shapes["batch"], shapes["seq_len"], layer_cfg.d_model)
             ))
-        profile = SynapseProfiler(config).profile(rec.graph)
+        profile = SynapseProfiler(options=options).profile(rec.graph)
         result.times_ms[variant] = profile.total_time_ms
         result.breakdowns[variant] = schedule_energy(
             profile.schedule, profile.total_time_us, energy,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..hw.config import GaudiConfig, gaudi2_config
-from ..synapse import ProfileResult
+from ..synapse import CompilerOptions, ProfileResult
 from ..util.tabulate import render_table
 from .attention_study import profile_layer
 from .e2e_llm import E2EProfileResult, max_batch_that_fits, run_e2e
@@ -104,15 +104,17 @@ class GenerationComparisonResult:
         )
 
 
-def run_generation_comparison() -> GenerationComparisonResult:
+def run_generation_comparison(
+    options: CompilerOptions | None = None,
+) -> GenerationComparisonResult:
     """Run the Fig 4 layer + GPT step on both generations."""
     g1 = GaudiConfig()
     g2 = gaudi2_config()
     return GenerationComparisonResult(
-        layer_g1=profile_layer("softmax", config=g1),
-        layer_g2=profile_layer("softmax", config=g2),
-        e2e_g1=run_e2e("gpt", config=g1),
-        e2e_g2=run_e2e("gpt", config=g2),
-        max_batch_g1=max_batch_that_fits("gpt", config=g1),
-        max_batch_g2=max_batch_that_fits("gpt", config=g2),
+        layer_g1=profile_layer("softmax", config=g1, options=options),
+        layer_g2=profile_layer("softmax", config=g2, options=options),
+        e2e_g1=run_e2e("gpt", config=g1, options=options),
+        e2e_g2=run_e2e("gpt", config=g2, options=options),
+        max_batch_g1=max_batch_that_fits("gpt", config=g1, options=options),
+        max_batch_g2=max_batch_that_fits("gpt", config=g2, options=options),
     )

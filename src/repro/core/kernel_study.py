@@ -34,13 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import ht
-from ..hw.config import GaudiConfig
 from ..hw.costmodel import EngineKind
 from ..synapse import (
     CompilerOptions,
     GraphCompiler,
     ProfileResult,
-    default_compiler_options,
     execute_schedule,
     lint_graph,
 )
@@ -301,21 +299,20 @@ def _check_kernel_numerics() -> tuple[dict[str, bool], int]:
 
 
 def run_kernel_pack_ablation(
-    config: GaudiConfig | None = None,
+    options: CompilerOptions | None = None,
 ) -> KernelStudyResult:
     """Profile the Fig-4 softmax layer under every attention lowering,
     in-order and stacked with the A13 scheduler."""
     from .attention_study import profile_layer
 
-    base = default_compiler_options()
+    base = options or CompilerOptions()
     result = KernelStudyResult()
     for lowering in ATTENTION_LOWERINGS:
         for label, kwargs in SCHEDULES:
-            options = dataclasses.replace(
-                base, attention_lowering=lowering, **kwargs
-            )
             result.profiles.setdefault(lowering, {})[label] = profile_layer(
-                "softmax", config=config, options=options
+                "softmax", options=dataclasses.replace(
+                    base, attention_lowering=lowering, **kwargs
+                ),
             )
     result.numerics, result.lint_findings = _check_kernel_numerics()
     return result

@@ -241,7 +241,7 @@ def _check_planned_numerics() -> tuple[bool, int]:
 
 
 def run_memory_ablation(
-    config: GaudiConfig | None = None,
+    options: CompilerOptions | None = None,
     *,
     batches: tuple[int, ...] = MEMORY_SWEEP_BATCHES,
     budget_bytes: int | None = None,
@@ -260,8 +260,7 @@ def run_memory_ablation(
     """
     from .sweep import SweepPoint, SweepSpec, run_sweep
 
-    config = config or GaudiConfig()
-    budget = budget_bytes or config.hbm.capacity_bytes
+    budget = budget_bytes or GaudiConfig().hbm.capacity_bytes
     result = MemoryStudyResult(budget_bytes=budget)
     timeline_agrees = True
 
@@ -282,7 +281,7 @@ def run_memory_ablation(
             policies=(("oracle", oracle_overrides),),
             executor="profile",
         ),
-        config=config, options=CompilerOptions(), graphs=graphs,
+        options=options, graphs=graphs,
     )
     for point in oracle_sweep.results:
         result.rows.append(MemoryRow(
@@ -308,7 +307,7 @@ def run_memory_ablation(
                     for r in over_budget
                 ),
             ),
-            config=config, options=CompilerOptions(), graphs=graphs,
+            options=options, graphs=graphs,
         )
         for row, point in zip(over_budget, planned_sweep.results):
             planned = point.profile

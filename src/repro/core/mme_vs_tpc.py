@@ -106,13 +106,12 @@ class MmeVsTpcResult:
 
 
 def run_mme_vs_tpc(
-    config: GaudiConfig | None = None,
     *,
     sizes: tuple[int, ...] = SIZES,
     batch: int = BATCH,
 ) -> MmeVsTpcResult:
     """Measure all sizes; returns the populated result."""
-    config = config or GaudiConfig()
+    config = GaudiConfig()
     mme = MMEModel(config.mme, config.hbm)
     sim = TPCSimulator(config.tpc, config.default_dtype)
     kernel = REGISTRY.create("bmm")

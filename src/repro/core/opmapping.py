@@ -10,12 +10,13 @@ on the TPC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .. import ht
 from ..ht import functional as F
 from ..hw.costmodel import EngineKind
 from ..synapse import CompilerOptions, GraphCompiler
+from ..util.errors import ConfigError
 from ..util.tabulate import render_table
 from .reference import TABLE1_ROWS, ShapeCheck
 
@@ -35,7 +36,7 @@ class OpMappingRow:
         return self.engine == self.expected
 
 
-def _probe(op_name: str) -> str:
+def _probe(op_name: str, options: CompilerOptions) -> str:
     """Record a single-op graph and return its scheduled engine."""
     shape = (64, 64)
     with ht.record(f"probe-{op_name}", mode="symbolic") as rec:
@@ -55,7 +56,7 @@ def _probe(op_name: str) -> str:
             F.apply_op(op_name, [x])
     # compile without fusion so the single probed op stays identifiable
     schedule = GraphCompiler(
-        options=CompilerOptions(fuse_elementwise=False, insert_dma=False)
+        options=replace(options, fuse_elementwise=False, insert_dma=False)
     ).compile(rec.graph)
     compute_ops = [
         s for s in schedule.ops
@@ -96,10 +97,20 @@ class OpMappingResult:
         )
 
 
-def run_op_mapping() -> OpMappingResult:
-    """Run the full Table 1 probe set."""
+def run_op_mapping(options: CompilerOptions | None = None) -> OpMappingResult:
+    """Run the full Table 1 probe set.
+
+    Table 1 is Gaudi's MME/TPC split, so a non-Gaudi ``backend`` is
+    refused before any compile.
+    """
+    options = options or CompilerOptions()
+    if options.backend != "gaudi":
+        raise ConfigError(
+            f"table1 maps ops to Gaudi's engines; backend "
+            f"{options.backend!r} has no MME/TPC split"
+        )
     rows = [
-        OpMappingRow(torch_name, op_name, _probe(op_name), expected)
+        OpMappingRow(torch_name, op_name, _probe(op_name, options), expected)
         for torch_name, op_name, expected in TABLE1_ROWS
     ]
     return OpMappingResult(rows)

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import ht
-from ..hw.config import GaudiConfig
 from ..hw.costmodel import EngineKind
 from ..models import TransformerLayer, paper_layer_config
 from ..synapse import (
@@ -42,6 +41,7 @@ from ..synapse import (
     lint_graph,
 )
 from ..synapse.trace import _merge_intervals, _overlap_us
+from ..util.errors import ConfigError
 from ..util.tabulate import render_table
 from .reference import ShapeCheck, threshold_check
 
@@ -212,7 +212,7 @@ def _check_sliced_numerics() -> tuple[bool, int]:
 
 
 def run_overlap_scheduler_ablation(
-    config: GaudiConfig | None = None,
+    options: CompilerOptions | None = None,
 ) -> OverlapStudyResult:
     """Profile the Fig. 4 softmax and Fig. 6 Performer layers under
     every scheduler/slicing configuration.
@@ -220,9 +220,17 @@ def run_overlap_scheduler_ablation(
     The grid — layer workloads crossed with :data:`CONFIGS` — is a
     ``profile``-executor :class:`~repro.core.sweep.SweepSpec`; each
     point's rich :class:`~repro.synapse.ProfileResult` lands in
-    ``profiles`` keyed exactly as before.
+    ``profiles`` keyed exactly as before. The study measures MME idle
+    time behind TPC work, so a non-Gaudi ``backend`` is refused before
+    any compile.
     """
     from .sweep import SweepSpec, run_sweep
+
+    if options is not None and options.backend != "gaudi":
+        raise ConfigError(
+            f"ablation-overlap measures MME idle time behind TPC work; "
+            f"backend {options.backend!r} has neither engine"
+        )
 
     spec = SweepSpec(
         name="a13-overlap-scheduler",
@@ -232,7 +240,7 @@ def run_overlap_scheduler_ablation(
         ),
         executor="profile",
     )
-    sweep = run_sweep(spec, config=config, options=CompilerOptions())
+    sweep = run_sweep(spec, options=options)
     result = OverlapStudyResult()
     for point in sweep.results:
         kind = point.point.model.split(":", 1)[1]

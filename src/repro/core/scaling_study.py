@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from ..hw.config import HLS1Config
 from ..hw.interconnect import RingAllReduce, data_parallel_step_time_us
+from ..synapse import CompilerOptions
 from ..util.tabulate import render_table
 from ..util.units import us_to_ms
 from .e2e_llm import E2E_SHAPES
@@ -109,7 +110,7 @@ class ScalingStudyResult:
 def run_scaling_study(
     model_name: str = "gpt",
     *,
-    hls1: HLS1Config | None = None,
+    options: CompilerOptions | None = None,
     card_counts: tuple[int, ...] = (1, 2, 4, 8),
     overlap_fraction: float = 0.5,
     jobs: int = 1,
@@ -125,7 +126,7 @@ def run_scaling_study(
     pool fed from the shared warm disk-recipe cache; the simulation is
     deterministic, so the rows are identical either way.
     """
-    hls1 = hls1 or HLS1Config()
+    hls1 = HLS1Config()
     counts = tuple(dict.fromkeys((1, *card_counts)))
     spec = SweepSpec(
         name="a4-weak-scaling",
@@ -133,7 +134,7 @@ def run_scaling_study(
         cards=counts,
         policies=(("ddp", _DDP),),
     )
-    sweep = run_sweep(spec, hls1=hls1, jobs=jobs)
+    sweep = run_sweep(spec, options=options, jobs=jobs)
     timings = {r.point.cards: r.metrics for r in sweep.results}
     grad_bytes = int(timings[counts[0]]["gradient_bytes"])
 
@@ -239,7 +240,7 @@ class CommOverlapAblationResult:
 def run_comm_overlap_ablation(
     model_name: str = "gpt",
     *,
-    hls1: HLS1Config | None = None,
+    options: CompilerOptions | None = None,
     num_cards: int = 8,
     bucket_sizes_mb: tuple[float, ...] = (100.0, 25.0, 4.0),
     jobs: int = 1,
@@ -255,7 +256,6 @@ def run_comm_overlap_ablation(
     explicit-points :class:`~repro.core.sweep.SweepSpec`; ``jobs > 1``
     fans the point executions over the harness's process pool.
     """
-    hls1 = hls1 or HLS1Config()
     settings: list[tuple[str, bool, float]] = [
         ("no overlap", False, float("inf"))
     ]
@@ -281,7 +281,7 @@ def run_comm_overlap_ablation(
         for label, overlap, mb in settings
     )
     spec = SweepSpec(name="a12-comm-overlap", points=tuple(points))
-    sweep = run_sweep(spec, hls1=hls1, jobs=jobs)
+    sweep = run_sweep(spec, options=options, jobs=jobs)
 
     base_us = sweep.results[0].metrics["total_time_us"]
     result = CommOverlapAblationResult(

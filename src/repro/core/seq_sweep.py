@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..hw.config import GaudiConfig
-from ..synapse import ProfileResult
+from ..synapse import CompilerOptions, ProfileResult
 from ..util.tabulate import render_table
 from .attention_study import profile_layer
 from .reference import ShapeCheck, threshold_check
@@ -124,16 +123,16 @@ class SeqSweepResult:
 def run_seq_sweep(
     seq_lens: tuple[int, ...] = DEFAULT_SEQ_LENS,
     *,
-    config: GaudiConfig | None = None,
+    options: CompilerOptions | None = None,
     batch: int = SWEEP_BATCH,
 ) -> SeqSweepResult:
     """Profile both variants at every sweep length."""
     result = SeqSweepResult(list(seq_lens))
     for n in seq_lens:
         result.softmax.append(
-            profile_layer("softmax", config=config, batch=batch, seq_len=n)
+            profile_layer("softmax", options=options, batch=batch, seq_len=n)
         )
         result.linear.append(
-            profile_layer("linear", config=config, batch=batch, seq_len=n)
+            profile_layer("linear", options=options, batch=batch, seq_len=n)
         )
     return result

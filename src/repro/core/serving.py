@@ -54,7 +54,7 @@ from ..hw.dtypes import DType, itemsize
 from ..models import GPT2LMHeadModel, paper_gpt_config
 from ..models.config import LLMConfig
 from ..models.kvcache import max_decode_context, record_decode_step
-from ..synapse import CompilerOptions, default_compiler_options
+from ..synapse import CompilerOptions
 from ..synapse.serving import ServingRuntime, StepCost
 from ..util.errors import (
     ConfigError,
@@ -789,7 +789,7 @@ def run_serving(
     if not points:
         raise DataError("run_serving needs at least one point")
     config = config or GaudiConfig()
-    base = options if options is not None else default_compiler_options()
+    base = options or CompilerOptions()
 
     opened = None
     if isinstance(stream, (str, Path)):
@@ -990,7 +990,7 @@ class ServingAblationResult:
 
 
 def run_serving_ablation(
-    config: GaudiConfig | None = None,
+    options: CompilerOptions | None = None,
     *,
     rates: tuple[float, ...] = DEFAULT_ABLATION_RATES,
     num_requests: int = DEFAULT_ABLATION_REQUESTS,
@@ -1006,8 +1006,7 @@ def run_serving_ablation(
     residency — the planner's verdict — bounding the admissible batch
     below the slot count.
     """
-    config = config or GaudiConfig()
-    runtime = ServingRuntime(config)
+    runtime = ServingRuntime(options=options)
     result = ServingAblationResult()
     points = [
         ServingPoint(
@@ -1017,9 +1016,7 @@ def run_serving_ablation(
         for rate in rates
         for policy in SERVING_POLICIES
     ]
-    result.rows = run_serving(
-        points, config=config, workload=workload, runtime=runtime,
-    )
+    result.rows = run_serving(points, workload=workload, runtime=runtime)
     result.runtime_info = runtime.info()
 
     # KV-pressure scenario: long contexts, small vocabulary (so the
@@ -1034,7 +1031,7 @@ def run_serving_ablation(
     )
     per_request = kv_bytes_per_token(pressure_cfg) * pressure_cfg.max_seq_len
     budget = serving_weight_bytes(pressure_cfg) + 5 * per_request
-    pressure_runtime = ServingRuntime(config, hbm_budget=budget)
+    pressure_runtime = ServingRuntime(options=options, hbm_budget=budget)
     sim = ServingSimulator(
         pressure_runtime, model_config=pressure_cfg,
         max_batch=pressure_batch,

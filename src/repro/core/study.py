@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..hw.config import GaudiConfig
+from ..synapse import CompilerOptions, recipe_cache_stats
 from .ablations import (
     run_chunked_attention_study,
     run_hbm_contention_ablation,
@@ -81,7 +81,7 @@ class StudyReport:
 
 
 def run_full_study(
-    config: GaudiConfig | None = None,
+    options: CompilerOptions | None = None,
     *,
     include_extensions: bool = True,
     jobs: int = 1,
@@ -90,98 +90,97 @@ def run_full_study(
 
     ``jobs > 1`` parallelizes the multi-card simulations (A4/A12)
     across a process pool; every measurement is identical to the
-    serial run.
+    serial run. The closing recipe-cache line counts this run's
+    lookups only.
     """
-    config = config or GaudiConfig()
+    before = recipe_cache_stats()
     report = StudyReport()
 
-    t1 = run_op_mapping()
+    t1 = run_op_mapping(options)
     report.add("Table 1: operation-engine mapping", t1.render(), t1.checks())
 
-    t2 = run_mme_vs_tpc(config)
+    t2 = run_mme_vs_tpc()
     report.add("Table 2: MME vs TPC batched matmul", t2.render(), t2.checks())
 
-    attn = run_attention_study(config)
+    attn = run_attention_study(options)
     report.add("Figures 4-6: attention variants", attn.render(), attn.checks())
 
-    act = run_activation_study(config)
+    act = run_activation_study(options)
     report.add("Figure 7: activation functions", act.render(), act.checks())
 
-    sweep = run_seq_sweep(config=config)
+    sweep = run_seq_sweep(options=options)
     report.add("Long-sequence sweep (challenge #3)", sweep.render(),
                sweep.checks())
 
     for model in ("gpt", "bert"):
-        e2e = run_e2e(model, config=config)
+        e2e = run_e2e(model, options=options)
         fig = "Figure 8: GPT end-to-end" if model == "gpt" else \
             "Figure 9: BERT end-to-end"
         report.add(fig, e2e.render(), e2e.checks())
 
     if include_extensions:
-        a1 = run_reorder_ablation("performer", config=config)
+        a1 = run_reorder_ablation("performer", options=options)
         report.add("A1: issue-order ablation", a1.render(), a1.checks())
 
-        a2 = run_fusion_ablation("softmax", config=config)
+        a2 = run_fusion_ablation("softmax", options=options)
         report.add("A2: fusion ablation", a2.render(), a2.checks())
 
-        a3 = run_tpc_core_sweep(config=config)
+        a3 = run_tpc_core_sweep(options=options)
         report.add("A3: TPC core sweep", a3.render(), a3.checks())
 
-        a4 = run_scaling_study("gpt", hls1=None, jobs=jobs)
+        a4 = run_scaling_study("gpt", options=options, jobs=jobs)
         report.add("A4: HLS-1 scaling extension", a4.render(), a4.checks())
 
-        a5 = run_chunked_attention_study(config=config)
+        a5 = run_chunked_attention_study(options=options)
         report.add("A5: chunked attention extension", a5.render(), a5.checks())
 
-        a6 = run_pipelined_attention_study(config=config)
+        a6 = run_pipelined_attention_study(options=options)
         report.add("A6: pipelined exact attention extension", a6.render(),
                    a6.checks())
 
-        a7 = run_generation_comparison()
+        a7 = run_generation_comparison(options)
         report.add("A7: Gaudi2 what-if extension", a7.render(), a7.checks())
 
-        a8 = run_energy_study(config)
+        a8 = run_energy_study(options)
         report.add("A8: energy extension", a8.render(), a8.checks())
 
-        a9 = run_decode_study(config=config)
+        a9 = run_decode_study(options=options)
         report.add("A9: KV-cached decode extension", a9.render(),
                    a9.checks())
 
-        a11 = run_hbm_contention_ablation(config=config)
+        a11 = run_hbm_contention_ablation(options=options)
         report.add("A11: HBM contention ablation", a11.render(),
                    a11.checks())
 
-        a12 = run_comm_overlap_ablation("gpt", jobs=jobs)
+        a12 = run_comm_overlap_ablation("gpt", options=options, jobs=jobs)
         report.add("A12: comm-overlap ablation", a12.render(),
                    a12.checks())
 
-        a13 = run_overlap_scheduler_ablation(config=config)
+        a13 = run_overlap_scheduler_ablation(options)
         report.add("A13: overlap scheduler ablation", a13.render(),
                    a13.checks())
 
-        a14 = run_memory_ablation(config=config)
+        a14 = run_memory_ablation(options)
         report.add("A14: memory planning ablation", a14.render(),
                    a14.checks())
 
-        a15 = run_serving_ablation(config=config)
+        a15 = run_serving_ablation(options)
         report.add("A15: static vs continuous batching", a15.render(),
                    a15.checks())
 
-        a16 = run_parallel_study()
+        a16 = run_parallel_study(options=options)
         report.add("A16: multi-box parallel layouts", a16.render(),
                    a16.checks())
 
-        a17 = run_kernel_pack_ablation(config=config)
+        a17 = run_kernel_pack_ablation(options)
         report.add("A17: attention kernel pack", a17.render(),
                    a17.checks())
 
-        a18 = run_backend_ablation(config=config)
+        a18 = run_backend_ablation(options)
         report.add("A18: cross-backend comparison", a18.render(),
                    a18.checks())
 
-    from ..synapse import recipe_cache_stats
-
-    cache = recipe_cache_stats()
+    cache = {k: v - before[k] for k, v in recipe_cache_stats().items()}
     report.sections.append((
         "recipe cache",
         f"hits: {cache['hits']}  misses: {cache['misses']}  "

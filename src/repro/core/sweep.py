@@ -41,7 +41,6 @@ from ..synapse import (
     CompilerOptions,
     GraphCompiler,
     SynapseProfiler,
-    default_compiler_options,
 )
 from ..synapse.recipe import RecipeCache, recipe_key
 from ..synapse.runtime import HLS1Runtime, Runtime
@@ -407,7 +406,7 @@ def run_sweep(
     """Execute every point of ``spec``, streaming JSONL as they land.
 
     ``options`` is the base every point's policy overrides apply to
-    (default: the process-wide compiler options). ``stream`` is a
+    (default: :class:`CompilerOptions` defaults). ``stream`` is a
     writable text file (or a path) receiving one JSON line per
     completed point. ``jobs > 1`` fans ``executor="hls1"`` points over
     a process pool: the parent compiles each distinct workload/options
@@ -419,7 +418,7 @@ def run_sweep(
     Points run and stream in spec order at any width.
     """
     hls1 = hls1 or HLS1Config()
-    base = options if options is not None else default_compiler_options()
+    base = options or CompilerOptions()
     points = spec.expand()
     if not points:
         raise ValueError(f"sweep {spec.name!r} declares no points")
@@ -549,6 +548,7 @@ def _auto_layout_points(
     seq_lens: tuple[int | None, ...],
     cards: tuple[int, ...],
     boxes: tuple[int, ...],
+    options: CompilerOptions | None,
 ) -> tuple[SweepPoint, ...]:
     """One planner-picked point per (model, geometry, population).
 
@@ -571,7 +571,8 @@ def _auto_layout_points(
                     planner_kwargs["seq_len"] = seq_len
                 for per_box in cards:
                     planner = LayoutPlanner(
-                        model, cards_per_box=per_box, **planner_kwargs
+                        model, cards_per_box=per_box, options=options,
+                        **planner_kwargs,
                     )
                     for n_boxes in boxes:
                         verdict = auto_layout(
@@ -606,6 +607,7 @@ def sweep_spec_from_cli(
     auto_layout: bool = False,
     attention: Iterable[str] = (),
     backend: Iterable[str] = (),
+    options: CompilerOptions | None = None,
 ) -> SweepSpec:
     """Build the ``repro sweep`` grid from repeatable CLI flags.
 
@@ -619,7 +621,8 @@ def sweep_spec_from_cli(
     axis, crossing every policy with each named kernel; ``backend``
     (``--backend``) adds the hardware-backend axis (gaudi/wse) —
     non-Gaudi backends are single-device, so they require the default
-    ``cards == boxes == 1`` population.
+    ``cards == boxes == 1`` population. ``options`` is the base the
+    planner prices ``--auto-layout`` candidates under.
     """
     from ..hw.backend import get_backend
     from ..synapse.passes.attention import ATTENTION_LOWERINGS
@@ -664,7 +667,7 @@ def sweep_spec_from_cli(
         return SweepSpec(
             name="cli",
             points=_auto_layout_points(
-                models_t, batches_t, seq_lens_t, cards_t, boxes_t
+                models_t, batches_t, seq_lens_t, cards_t, boxes_t, options
             ),
         )
     shard: tuple[tuple[str, Any], ...] = ()

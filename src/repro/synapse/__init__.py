@@ -9,9 +9,7 @@ SynapseProfiler (hardware trace events + the paper's derived metrics).
 from .compiler import (
     CompilerOptions,
     GraphCompiler,
-    default_compiler_options,
     disable_passes,
-    set_default_compiler_options,
 )
 from .critical_path import CriticalPathResult, critical_path
 from .dot import graph_to_dot, schedule_to_dot
@@ -77,9 +75,7 @@ from .trace import Timeline, TraceEvent, validate_no_engine_overlap
 __all__ = [
     "CompilerOptions",
     "GraphCompiler",
-    "default_compiler_options",
     "disable_passes",
-    "set_default_compiler_options",
     "PASS_OPTION_FLAGS",
     "CollectiveInjectionPass",
     "CompilerPass",

@@ -226,21 +226,6 @@ def disable_passes(
     return dataclasses.replace(options, **flags)
 
 
-#: process-wide default options; overridable by the CLI flags
-_DEFAULT_OPTIONS = CompilerOptions()
-
-
-def default_compiler_options() -> CompilerOptions:
-    """The options used when a compiler/profiler is built without any."""
-    return _DEFAULT_OPTIONS
-
-
-def set_default_compiler_options(options: CompilerOptions) -> None:
-    """Override the process-wide default options (CLI ``--disable-pass``)."""
-    global _DEFAULT_OPTIONS
-    _DEFAULT_OPTIONS = options
-
-
 class GraphCompiler:
     """Compiles a :class:`~repro.synapse.graph.Graph` to a :class:`Schedule`."""
 
@@ -251,7 +236,7 @@ class GraphCompiler:
         *,
         cache: RecipeCache | None = None,
     ):
-        self.options = options or default_compiler_options()
+        self.options = options or CompilerOptions()
         #: the accelerator model compilation targets; ``config`` is
         #: coerced so legacy call sites passing a ``GaudiConfig`` can
         #: retarget with ``options.backend`` alone

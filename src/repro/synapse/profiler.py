@@ -16,11 +16,7 @@ from ..hw.costmodel import EngineKind
 from ..hw.device import GaudiDevice
 from ..util.tabulate import render_kv
 from ..util.units import fmt_bytes, fmt_time_us, us_to_ms
-from .compiler import (
-    CompilerOptions,
-    GraphCompiler,
-    default_compiler_options,
-)
+from .compiler import CompilerOptions, GraphCompiler
 from .graph import Graph
 from .runtime import Runtime
 from .schedule import Schedule
@@ -166,7 +162,7 @@ class SynapseProfiler:
         config: GaudiConfig | None = None,
         options: CompilerOptions | None = None,
     ):
-        self.options = options or default_compiler_options()
+        self.options = options or CompilerOptions()
         self.compiler = GraphCompiler(config, self.options)
         # the compiler resolved options.backend and coerced the config,
         # so a profiler built with a GaudiConfig retargets cleanly

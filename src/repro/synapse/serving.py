@@ -33,7 +33,7 @@ from typing import Callable, Hashable
 
 from ..hw.config import GaudiConfig
 from ..util.errors import DeviceMemoryError
-from .compiler import CompilerOptions, GraphCompiler, default_compiler_options
+from .compiler import CompilerOptions, GraphCompiler
 from .graph import Graph
 from .recipe import RecipeCache
 from .runtime import Runtime
@@ -76,7 +76,7 @@ class ServingRuntime:
         recipe_dir: "str | Path | None" = None,
     ):
         self.config = config or GaudiConfig()
-        base = options or default_compiler_options()
+        base = options or CompilerOptions()
         if hbm_budget is not None:
             base = dataclasses.replace(
                 base, hbm_budget=hbm_budget, enforce_memory=True

@@ -1,19 +1,12 @@
 """A16 layout pricing: the runtime options reach every priced execute."""
 
-import dataclasses
-
 import pytest
 
 from repro.core.auto_layout import LayoutPlanner, ParallelLayout
 from repro.core.e2e_llm import record_training_step
 from repro.hw.config import HLS1Config
 from repro.hw.device import HLS1Device
-from repro.synapse import (
-    CompilerOptions,
-    GraphCompiler,
-    default_compiler_options,
-    set_default_compiler_options,
-)
+from repro.synapse import CompilerOptions, GraphCompiler
 from repro.synapse.runtime import HLS1Runtime
 
 LAYOUT = ParallelLayout(dp=2)
@@ -32,13 +25,11 @@ def _direct_step_us(**runtime_kwargs):
 
 
 def _priced_step_us(**overrides):
-    saved = default_compiler_options()
-    set_default_compiler_options(dataclasses.replace(saved, **overrides))
-    try:
-        planner = LayoutPlanner("gpt", batch=BATCH, seq_len=SEQ)
-        return planner.price(LAYOUT).step_time_us
-    finally:
-        set_default_compiler_options(saved)
+    planner = LayoutPlanner(
+        "gpt", batch=BATCH, seq_len=SEQ,
+        options=CompilerOptions(**overrides),
+    )
+    return planner.price(LAYOUT).step_time_us
 
 
 @pytest.mark.parametrize("overrides", [

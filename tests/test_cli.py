@@ -112,6 +112,16 @@ class TestMain:
                      "layer:performer", "--policy", "default"]) == 0
         assert "| default | 64.04 " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("experiment", [
+        "ablation-fusion", "ablation-reorder", "ablation-memory",
+    ])
+    def test_backend_flag_reaches(self, capsys, experiment):
+        """Experiments that build their own options keep ``--backend``."""
+        main([experiment])
+        default = capsys.readouterr().out
+        main(["--backend", "wse", experiment])
+        assert capsys.readouterr().out != default
+
     def test_infeasible_layout_grid_is_a_typed_error(self, capsys):
         """A16 with no layout fitting the budget: one error line, exit 2."""
         assert main(["--hbm-budget", "0.125", "ablation-parallel"]) == 2
@@ -139,6 +149,13 @@ class TestTypedErrors:
          "--batch must be >= 1"),
         (["sweep", "--model", "gpt", "--seq-len", "0"],
          "--seq-len must be >= 1"),
+        (["--cards", "2", "fig8"],
+         "--cards only applies to scaling and ablation-comm, not fig8"),
+        (["--cards", "2", "study"],
+         "--cards only applies to scaling and ablation-comm, not study"),
+        (["--backend", "wse", "table1"], "table1 maps ops to Gaudi's"),
+        (["--backend", "wse", "ablation-overlap"],
+         "ablation-overlap measures MME idle time"),
     ])
     def test_bad_flags_exit_2(self, capsys, argv, message):
         assert main(argv) == 2
@@ -181,6 +198,7 @@ class TestReentrancy:
         (["--scheduler", "lookahead", "--recipe-cache-dir", "{tmp}",
           "sweep", "--model", "layer:performer", "--policy", "default"],
          ["sweep", "--model", "layer:performer", "--policy", "default"]),
+        (["study", "--no-extensions"], ["study", "--no-extensions"]),
     ])
     def test_pair_matches_fresh_processes(
         self, first, second, capsys, tmp_path

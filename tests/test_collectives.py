@@ -16,8 +16,8 @@ from repro.hw.interconnect import (
     fabric_bandwidth,
 )
 from repro.synapse import (
+    CompilerOptions,
     GraphCompiler,
-    default_compiler_options,
     graph_from_json,
     graph_signature,
     graph_to_json,
@@ -185,7 +185,7 @@ class TestGradientMarking:
 
 def _compile(graph, **overrides):
     options = dataclasses.replace(
-        default_compiler_options(), inject_collectives=True, **overrides
+        CompilerOptions(), inject_collectives=True, **overrides
     )
     return GraphCompiler(options=options).compile(graph)
 
@@ -245,7 +245,7 @@ class TestCollectiveInjection:
     def test_bucket_size_keys_recipe_cache(self):
         graph = record_tiny_step()
         options = dataclasses.replace(
-            default_compiler_options(), inject_collectives=True
+            CompilerOptions(), inject_collectives=True
         )
         compiler = GraphCompiler(options=options)
         compiler.compile(graph)

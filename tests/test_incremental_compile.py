@@ -15,7 +15,7 @@ import pytest
 
 from repro import ht
 from repro.ht import functional as F
-from repro.synapse import GraphCompiler, default_compiler_options
+from repro.synapse import CompilerOptions, GraphCompiler
 from repro.synapse.lint import lint_passes
 from repro.synapse.passes import (
     CompilerPass,
@@ -57,7 +57,7 @@ def record_step(batch, width=32, depth=3):
 
 def compile_graph(graph, *, incremental, **overrides):
     options = dataclasses.replace(
-        default_compiler_options(),
+        CompilerOptions(),
         incremental=incremental,
         use_recipe_cache=False,
         inject_collectives=True,

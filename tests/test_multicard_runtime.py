@@ -23,7 +23,6 @@ from repro.synapse import (
     GraphCompiler,
     HLS1Runtime,
     Runtime,
-    default_compiler_options,
     validate_no_engine_overlap,
 )
 from repro.synapse.recipe import RecipeCache
@@ -50,7 +49,7 @@ def record_tiny_step(d: int = 16, layers: int = 2, batch: int = 4):
 
 def compile_step(graph, **overrides):
     options = dataclasses.replace(
-        default_compiler_options(), inject_collectives=True, **overrides
+        CompilerOptions(), inject_collectives=True, **overrides
     )
     return GraphCompiler(options=options).compile(graph)
 

@@ -35,9 +35,9 @@ from repro.hw.interconnect import (
     scale_plan,
 )
 from repro.synapse import (
+    CompilerOptions,
     GraphCompiler,
     HLS1Runtime,
-    default_compiler_options,
 )
 from repro.synapse.runtime import collective_plans
 from tests.fluid_reference import scalar_loop
@@ -61,7 +61,7 @@ def record_step(width, depth, batch):
 
 def compile_step(graph, bucket_mb=25.0, **overrides):
     options = dataclasses.replace(
-        default_compiler_options(),
+        CompilerOptions(),
         inject_collectives=True,
         bucket_mb=bucket_mb,
         **overrides,

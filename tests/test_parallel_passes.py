@@ -19,7 +19,6 @@ from repro.hw.costmodel import EngineKind
 from repro.synapse import (
     GraphCompiler,
     CompilerOptions,
-    default_compiler_options,
 )
 from repro.synapse.recipe import recipe_key
 from repro.util.errors import CompileError
@@ -40,7 +39,7 @@ def record_mlp(width=16, depth=2, batch=4):
 
 def compile_with(graph, **overrides):
     options = dataclasses.replace(
-        default_compiler_options(),
+        CompilerOptions(),
         inject_collectives=True,
         **overrides,
     )
@@ -172,7 +171,7 @@ class TestRecipeKeying:
         from repro.hw.config import GaudiConfig
 
         graph = record_mlp()
-        base = default_compiler_options()
+        base = CompilerOptions()
         config = GaudiConfig()
         seen = set()
         for overrides in ({}, {"tp": 2}, {"tp": 4},

@@ -24,10 +24,10 @@ from repro.hw.config import HLS1Config
 from repro.hw.costmodel import EngineKind
 from repro.hw.device import GaudiDevice, HLS1Device
 from repro.synapse import (
+    CompilerOptions,
     GraphCompiler,
     HLS1Runtime,
     Runtime,
-    default_compiler_options,
     validate_no_engine_overlap,
 )
 from repro.synapse.runtime import collective_plans
@@ -48,7 +48,7 @@ def record_step(width, depth, batch):
 
 def compile_step(graph, bucket_mb, overlap):
     options = dataclasses.replace(
-        default_compiler_options(),
+        CompilerOptions(),
         inject_collectives=True,
         bucket_mb=bucket_mb,
         comm_overlap=overlap,

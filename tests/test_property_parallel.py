@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from repro import ht
 from repro.ht import functional as F
 from repro.synapse import (
+    CompilerOptions,
     GraphCompiler,
-    default_compiler_options,
     execute_schedule,
 )
 
@@ -46,7 +46,7 @@ def record_train_mlp(width, depth, batch, seed):
 
 def compile_layout(graph, tp=1, pp=1):
     options = dataclasses.replace(
-        default_compiler_options(),
+        CompilerOptions(),
         inject_collectives=True,
         tp=tp,
         pp=pp,

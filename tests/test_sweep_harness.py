@@ -20,7 +20,7 @@ from repro.core.sweep import (
 )
 from repro.hw.config import HLS1Config
 from repro.hw.device import HLS1Device
-from repro.synapse import GraphCompiler, HLS1Runtime, default_compiler_options
+from repro.synapse import CompilerOptions, GraphCompiler, HLS1Runtime
 from repro.util.errors import ConfigError
 
 import pytest
@@ -64,13 +64,11 @@ class TestSpecExpansion:
         assert spec.expand() == list(pts)
 
     def test_point_options_apply_policy_delta(self):
-        from repro.synapse import default_compiler_options
-
         point = SweepPoint(
             model="gpt", policy="p",
             overrides=(("inject_collectives", True), ("bucket_mb", 4.0)),
         )
-        opts = point.options(default_compiler_options())
+        opts = point.options(CompilerOptions())
         assert opts.inject_collectives is True
         assert opts.bucket_mb == 4.0
         # untouched fields keep the base values
@@ -141,7 +139,7 @@ class TestRuntimeOptions:
         )
         hls1 = HLS1Config()
         base = dataclasses.replace(
-            default_compiler_options(), hbm_contention=False
+            CompilerOptions(), hbm_contention=False
         )
         flagged = run_sweep(spec, hls1=hls1, options=base)
         contended = run_sweep(spec, hls1=hls1)
