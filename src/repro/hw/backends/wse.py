@@ -32,6 +32,7 @@ twins, and the PE-grid model prices any GEMM geometry.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,7 +40,15 @@ from ...util.errors import ConfigError
 from ...util.units import s_to_us
 from ..backend import Backend
 from ..config import GIB, DMAConfig
-from ..costmodel import CostParts, DMAModel, EngineKind, MatmulDims, OpClass, WorkItem
+from ..costmodel import (
+    CostParts,
+    DMAModel,
+    EngineKind,
+    MatmulDims,
+    OpClass,
+    WorkItem,
+    price_key,
+)
 from ..dtypes import DType, itemsize
 from ...util.validation import (
     check_fraction,
@@ -312,6 +321,11 @@ class WSECostModel:
             latency_us=self.config.memoryx.latency_us,
             pipelined_exposure=self.config.memoryx.pipelined_exposure,
         ))
+
+    @functools.cached_property
+    def price_key(self) -> str:
+        """The calibration's value key (see ``CostModel.price_key``)."""
+        return price_key(self)
 
     @property
     def mem_bandwidth(self) -> float:

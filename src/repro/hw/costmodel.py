@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 from ..util.errors import ConfigError
@@ -95,7 +96,7 @@ class MatmulDims:
         return 2.0 * self.batch * self.m * self.n * self.k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkItem:
     """Engine-neutral description of one op's work.
 
@@ -105,6 +106,12 @@ class WorkItem:
     elements (used by special-function and reduction costing);
     ``matmul`` carries GEMM dimensions when ``op_class`` is MATMUL;
     ``special_fn`` names the transcendental for SPECIAL ops.
+
+    ``costs`` is the item's own price memo, filled by the runtime (see
+    :func:`~repro.synapse.runtime.op_cost_parts`): a work item's price
+    is a pure function of its fields and the pricing model's
+    calibration, so an item shared by many schedules is priced once
+    per calibration. It takes no part in equality, hashing or repr.
     """
 
     name: str
@@ -120,6 +127,11 @@ class WorkItem:
     #: DATA_MOVE only: an inter-engine staging transfer that pipelines
     #: behind the consumer, exposing only a fraction of its bytes.
     pipelined: bool = False
+    #: flat ``[price_key, engine, CostParts, ...]`` memo; the engine
+    #: slot ``None`` holds the launch-free compute on the fusion engine
+    costs: list = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     @property
     def bytes_total(self) -> int:
@@ -127,7 +139,7 @@ class WorkItem:
         return self.bytes_read + self.bytes_written
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostParts:
     """One op's duration, decomposed for the contended runtime.
 
@@ -519,6 +531,14 @@ class DMAModel:
         )
 
 
+def price_key(model) -> str:
+    """Value key of a cost ``model``'s calibration for price memos: the
+    model's class and its config's ``repr`` (interned, so equal
+    calibrations compare by identity)."""
+    cls = type(model)
+    return sys.intern(f"{cls.__module__}.{cls.__qualname__}:{model.config!r}")
+
+
 @dataclass
 class CostModel:
     """Facade bundling the per-engine models for one Gaudi config."""
@@ -532,6 +552,18 @@ class CostModel:
         self.mme = MMEModel(self.config.mme, self.config.hbm)
         self.tpc = TPCModel(self.config.tpc, self.config.hbm)
         self.dma = DMAModel(self.config.dma)
+
+    @functools.cached_property
+    def price_key(self) -> str:
+        """The calibration's value key, computed once per model.
+
+        Prices memoized under it (a work item's ``costs``, a schedule's
+        runtime prep) are shared by every model of this class with an
+        equal config and never by a different calibration or backend:
+        the key names the model's class, and the config's ``repr`` its
+        class and every constant.
+        """
+        return price_key(self)
 
     # -- backend-neutral facade (shared with WSECostModel) -------------------
     # The runtime prices schedules through these three members instead

@@ -27,18 +27,19 @@ read" rule:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graph import Graph
 from .schedule import ScheduledOp
 
 
-@dataclass(frozen=True)
-class LiveInterval:
+class LiveInterval(NamedTuple):
     """One live span of a value: write position to free position.
 
     ``end`` is the schedule position *after which* the value frees
     (its last read in the window); ``None`` means the value never
-    frees — it is live to the end of the run.
+    frees — it is live to the end of the run. A ``NamedTuple``: every
+    liveness walk builds one per allocated value.
     """
 
     vid: int
@@ -100,8 +101,9 @@ def fused_internal_values(graph: Graph, ops: list[ScheduledOp]) -> set[int]:
 
 def compute_liveness(graph: Graph, ops: list[ScheduledOp]) -> LivenessResult:
     """Interval liveness + peak walk over ``ops`` in list order."""
-    persistent = sum(v.nbytes for v in graph.graph_inputs())
-    graph_input_ids = {v.vid for v in graph.graph_inputs()}
+    inputs = graph.graph_inputs()
+    persistent = sum(v.nbytes for v in inputs)
+    graph_input_ids = {v.vid for v in inputs}
     internal = fused_internal_values(graph, ops)
 
     writes_of: dict[int, list[int]] = {}
@@ -116,41 +118,58 @@ def compute_liveness(graph: Graph, ops: list[ScheduledOp]) -> LivenessResult:
         persistent_bytes=persistent, peak_bytes=persistent, peak_index=-1,
         fused_internal=internal,
     )
+    intervals = result.intervals
+    allocs_at = result.allocs_at
+    frees_at = result.frees_at
+    # each allocated value's bytes, read once for the walk below
+    nbytes_of: dict[int, int] = {}
     for vid, wpos in writes_of.items():
         if vid in graph_input_ids or vid in internal:
             continue
-        rpos = sorted(reads_of.get(vid, []))
-        spans: list[LiveInterval] = []
-        for i, w in enumerate(wpos):
-            nxt = wpos[i + 1] if i + 1 < len(wpos) else None
-            window = [r for r in rpos if r >= w and (nxt is None or r < nxt)]
-            if window:
-                end: int | None = max(window)
-            elif nxt is None:
-                end = None  # terminal value: an output, never freed
-            else:
-                end = w  # dropped: re-written later, frees immediately
-            spans.append(LiveInterval(vid, w, end))
-        result.intervals[vid] = spans
+        nbytes_of[vid] = graph.value(vid).nbytes
+        # positions are appended in schedule order: ascending
+        rpos = reads_of.get(vid, ())
+        if len(wpos) == 1:
+            # the common single-writer value: live from its write to
+            # its last read, or to the end of the run if never read
+            w = wpos[0]
+            end = rpos[-1] if rpos and rpos[-1] >= w else None
+            spans = [LiveInterval(vid, w, end)]
+        else:
+            spans = []
+            for i, w in enumerate(wpos):
+                nxt = wpos[i + 1] if i + 1 < len(wpos) else None
+                window = [
+                    r for r in rpos if r >= w and (nxt is None or r < nxt)
+                ]
+                if window:
+                    end = max(window)
+                elif nxt is None:
+                    end = None  # terminal value: an output, never freed
+                else:
+                    end = w  # dropped: re-written later, frees at once
+                spans.append(LiveInterval(vid, w, end))
+        intervals[vid] = spans
         for span in spans:
-            result.allocs_at.setdefault(span.start, []).append(vid)
+            allocs_at.setdefault(span.start, []).append(vid)
             if span.end is not None:
-                result.frees_at.setdefault(span.end, []).append(vid)
-        if spans[-1].end is not None:
-            result.free_after[vid] = spans[-1].end
+                frees_at.setdefault(span.end, []).append(vid)
+        if end is not None:
+            result.free_after[vid] = end
 
     live = persistent
     peak = persistent
     peak_index = -1
+    live_at = result.live_at
     for pos in range(len(ops)):
-        for vid in result.allocs_at.get(pos, ()):
-            live += graph.value(vid).nbytes
+        for vid in allocs_at.get(pos, ()):
+            live += nbytes_of[vid]
         if live > peak:
             peak = live
             peak_index = pos
-        result.live_at.append(live)
-        for vid in result.frees_at.get(pos, ()):
-            live -= graph.value(vid).nbytes
+        live_at.append(live)
+        for vid in frees_at.get(pos, ()):
+            live -= nbytes_of[vid]
     result.peak_bytes = peak
     result.peak_index = peak_index
     return result

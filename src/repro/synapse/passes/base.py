@@ -198,6 +198,10 @@ class PassManager:
                         cache.put(key, (payload, installed_sigs))
                     mode = "miss"
                     recomputed += 1
+            state.structure_key = (
+                key if compiler_pass.signature_deps == ("structure",)
+                else None
+            )
             wall_us = (time.perf_counter() - t0) * 1e6
             entry = {
                 "pass": compiler_pass.name,

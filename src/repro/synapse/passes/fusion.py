@@ -8,157 +8,160 @@ softmax) or across plain elementwise ops — merge into one pending op
 so intermediates stay on-chip and HBM traffic is charged only at the
 chain edges. Disabled, the pass still runs structurally and produces
 one pending op per node (the fusion-off ablation).
+
+The pass works in two steps. :func:`plan_groups` makes every decision
+from graph structure alone and returns a :class:`GroupPlan` per
+pending op; :func:`materialize_pending` sizes those groups against the
+current graph (shared work items, chain-external read bytes). A cold
+compile runs both; a replay of a recorded plan runs only the second,
+so the two can never drift apart.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from ...hw.costmodel import EngineKind, OpClass
 from ...hw.dtypes import itemsize
 from ..graph import Graph, Node
-from ..ops import work_item_for
 from .base import CompilerPass
+from .items import node_item
 from .state import CompilationState, PendingOp
 
 #: op classes eligible for elementwise fusion
 FUSABLE_CLASSES = (OpClass.ELEMENTWISE, OpClass.SPECIAL)
 
 
-def _node_item(state: CompilationState, graph: Graph, node: Node):
-    in_shapes = [graph.value(v).shape for v in node.inputs]
-    out = graph.value(node.output)
-    return work_item_for(
-        node.op, in_shapes, out.shape, out.dtype, node.attrs,
-        label=node.label(), opdef=state.opdef(node.op),
-    )
+class GroupPlan(NamedTuple):
+    """One pending op's structural shape: what fusion decided.
 
-
-def _external_read_bytes(
-    graph: Graph, node: Node, resolved: tuple[int, ...], internal: set[int]
-) -> int:
-    """HBM bytes this chain member reads from outside the chain.
-
-    Same accounting as ``WorkItem.bytes_read`` (input numel at the
-    output dtype's width), restricted to inputs whose storage is not an
-    intermediate of the chain being assembled.
+    ``reads`` are the storage vids the op reads from outside itself,
+    ascending. ``ext`` lists the chain-external reads of members after
+    the first as ``(member position, declared value id)`` pairs; the
+    first member's reads are its work item's ``bytes_read``.
     """
-    width = itemsize(graph.value(node.output).dtype)
-    total = 0
-    for vid, storage in zip(node.inputs, resolved):
-        if storage in internal:
-            continue
+
+    nids: tuple[int, ...]
+    engine: EngineKind
+    reads: tuple[int, ...]
+    ext: tuple[tuple[int, int], ...]
+
+
+def _chain_read_bytes(
+    graph: Graph, nodes: list[Node], first_read: int,
+    ext: tuple[tuple[int, int], ...],
+) -> int:
+    """HBM bytes a pending op reads from outside itself.
+
+    The first member's reads count whole (its item's ``bytes_read``);
+    each later member adds its chain-external inputs, with the same
+    accounting as ``WorkItem.bytes_read`` (input numel at the member's
+    output dtype width).
+    """
+    total = first_read
+    for pos, vid in ext:
+        width = itemsize(graph.value(nodes[pos].output).dtype)
         total += math.prod(graph.value(vid).shape) * width
     return total
 
 
-def group_nodes(state: CompilationState, *, fuse: bool) -> list[PendingOp]:
-    """Build the pending-op list; merge fusable chains when ``fuse``."""
+def plan_groups(state: CompilationState, *, fuse: bool) -> list[GroupPlan]:
+    """Decide the pending ops; merge fusable chains when ``fuse``.
+
+    Reads op kinds, engines, consumer counts, src/scope provenance and
+    the alias map — structure only.
+    """
     graph = state.graph
     consumers = graph.consumers()
     alias = state.alias
-    pendings: list[PendingOp] = []
-    open_chain: PendingOp | None = None
+    backend = state.backend
+    plans: list[GroupPlan] = []
+    # the open chain: members, engine, reads, internal vids, external reads
+    chain: tuple[list[Node], EngineKind, set, set, list] | None = None
 
     def close() -> None:
-        nonlocal open_chain
-        if open_chain is not None:
-            pendings.append(open_chain)
-            open_chain = None
+        nonlocal chain
+        if chain is not None:
+            nodes, engine, reads, _, ext = chain
+            plans.append(GroupPlan(
+                tuple(n.nid for n in nodes), engine, tuple(sorted(reads)),
+                tuple(ext),
+            ))
+            chain = None
 
     for node in graph.nodes:
         if node.nid in state.elided:
             continue
         opdef = state.opdef(node.op)
-        engine = state.backend.engine_for(opdef)
+        engine = backend.engine_for(opdef)
         # dependencies point at real storage producers; the work
         # item keeps the node's declared (view-level) shapes
-        resolved = tuple(alias.get(v, v) for v in node.inputs)
-        item = _node_item(state, graph, node)
+        resolved = tuple([alias.get(v, v) for v in node.inputs])
         fusable = (
             fuse
-            and engine is state.backend.fusion_engine
+            and engine is backend.fusion_engine
             and opdef.op_class in FUSABLE_CLASSES
             and opdef.supported
         )
-        last = open_chain.nodes[-1] if open_chain is not None else None
-        # Fuse within one lowered composite (same src, e.g. the
-        # sub+exp of a softmax) or across plain elementwise ops;
-        # never across composites — attribution stays truthful.
-        src_compatible = last is not None and (
-            node.src == last.src
-            or (node.src == node.op and last.src == last.op)
-        )
-        if (
-            fusable
-            and open_chain is not None
-            and open_chain.output_vid in resolved
-            and len(consumers[open_chain.output_vid]) == 1
-            and src_compatible
-            and node.scope == last.scope
-        ):
-            open_chain.internal.add(open_chain.output_vid)
-            open_chain.reads.update(
-                v for v in resolved if v not in open_chain.internal
-            )
-            open_chain.external_read_bytes += _external_read_bytes(
-                graph, node, resolved, open_chain.internal
-            )
-            open_chain.nodes.append(node)
-            open_chain.items.append(item)
-            continue
+        if fusable and chain is not None:
+            nodes, _, reads, internal, ext = chain
+            last = nodes[-1]
+            output = last.output
+            # Fuse within one lowered composite (same src, e.g. the
+            # sub+exp of a softmax) or across plain elementwise ops;
+            # never across composites — attribution stays truthful.
+            if (
+                output in resolved
+                and len(consumers[output]) == 1
+                and (node.src == last.src
+                     or (node.src == node.op and last.src == last.op))
+                and node.scope == last.scope
+            ):
+                internal.add(output)
+                reads.update(v for v in resolved if v not in internal)
+                ext.extend(
+                    (len(nodes), vid)
+                    for vid, storage in zip(node.inputs, resolved)
+                    if storage not in internal
+                )
+                nodes.append(node)
+                continue
         close()
-        pending = PendingOp(
-            [node], engine, [item], reads=set(resolved),
-            external_read_bytes=item.bytes_read,
-        )
         if fusable:
-            open_chain = pending
+            chain = ([node], engine, set(resolved), set(), [])
         else:
-            pendings.append(pending)
+            plans.append(GroupPlan(
+                (node.nid,), engine, tuple(sorted(set(resolved))), (),
+            ))
     close()
-    pendings.sort(key=lambda p: p.nodes[0].nid)
-    return pendings
+    plans.sort(key=lambda p: p.nids[0])
+    return plans
 
 
-def rebuild_pending(
-    state: CompilationState, groups: list[tuple[tuple[int, ...], EngineKind]]
+def materialize_pending(
+    state: CompilationState, plans: list[GroupPlan]
 ) -> list[PendingOp]:
-    """Reconstruct the pending list from cached grouping decisions.
+    """Build the pending list for the current graph from ``plans``.
 
-    The cached payload holds only the structural decision — which
-    nodes form each pending op, and on what engine. Everything
-    geometric (work items, read sets, external-read bytes) is
-    recomputed from the *current* graph, mirroring ``group_nodes``'s
-    incremental chain construction step for step, so a replayed
-    compile is byte-identical to a cold one at any batch/seq point.
+    Everything geometric — work items, external-read bytes — is read
+    from the *current* graph, so a replayed plan yields a compile
+    byte-identical to a cold one at any batch/seq point.
     """
     graph = state.graph
-    alias = state.alias
     node_of = {n.nid: n for n in graph.nodes}
     pendings: list[PendingOp] = []
-    for nids, engine in groups:
-        nodes = [node_of[nid] for nid in nids]
-        first = nodes[0]
-        resolved = tuple(alias.get(v, v) for v in first.inputs)
-        item = _node_item(state, graph, first)
-        pending = PendingOp(
-            [first], engine, [item], reads=set(resolved),
-            external_read_bytes=item.bytes_read,
-        )
-        for node in nodes[1:]:
-            resolved = tuple(alias.get(v, v) for v in node.inputs)
-            item = _node_item(state, graph, node)
-            pending.internal.add(pending.output_vid)
-            pending.reads.update(
-                v for v in resolved if v not in pending.internal
-            )
-            pending.external_read_bytes += _external_read_bytes(
-                graph, node, resolved, pending.internal
-            )
-            pending.nodes.append(node)
-            pending.items.append(item)
-        pendings.append(pending)
+    for plan in plans:
+        nodes = [node_of[nid] for nid in plan.nids]
+        # members share work items with every node of the same key
+        items = [node_item(graph, node) for node in nodes]
+        read_bytes = items[0].bytes_read
+        if plan.ext:
+            read_bytes = _chain_read_bytes(graph, nodes, read_bytes, plan.ext)
+        pendings.append(PendingOp(
+            nodes, plan.engine, items, plan.reads,
+            external_read_bytes=read_bytes,
+        ))
     return pendings
 
 
@@ -175,24 +178,26 @@ class ElementwiseFusionPass(CompilerPass):
 
     def run(self, state: CompilationState) -> dict:
         """Group with fusion; transforms = nodes absorbed into chains."""
-        state.pending = group_nodes(state, fuse=True)
-        absorbed = sum(len(p.nodes) - 1 for p in state.pending)
-        chains = sum(1 for p in state.pending if len(p.nodes) > 1)
-        return {"transforms": absorbed, "chains": chains}
+        state.groups = plan_groups(state, fuse=True)
+        state.pending = materialize_pending(state, state.groups)
+        return _group_stats(state.groups)
 
     def record(self, state: CompilationState) -> dict:
-        return {"groups": [
-            (tuple(n.nid for n in p.nodes), p.engine) for p in state.pending
-        ]}
+        return {"groups": state.groups}
 
     def replay(self, state: CompilationState, payload: dict) -> dict:
-        groups = payload["groups"]
-        state.pending = rebuild_pending(state, groups)
-        absorbed = sum(len(nids) - 1 for nids, _ in groups)
-        chains = sum(1 for nids, _ in groups if len(nids) > 1)
-        return {"transforms": absorbed, "chains": chains}
+        state.groups = payload["groups"]
+        state.pending = materialize_pending(state, state.groups)
+        return _group_stats(state.groups)
 
     def run_disabled(self, state: CompilationState) -> dict:
         """Grouping still happens — one pending op per node."""
-        state.pending = group_nodes(state, fuse=False)
+        state.groups = plan_groups(state, fuse=False)
+        state.pending = materialize_pending(state, state.groups)
         return {}
+
+
+def _group_stats(plans: list[GroupPlan]) -> dict:
+    absorbed = sum(len(p.nids) - 1 for p in plans)
+    chains = sum(1 for p in plans if len(p.nids) > 1)
+    return {"transforms": absorbed, "chains": chains}

@@ -33,10 +33,12 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from .base import CompilerPass
+
+T = TypeVar("T")
 
 #: graph components a pass may declare in ``signature_deps``
 SIGNATURE_COMPONENTS = ("structure", "geometry")
@@ -101,14 +103,47 @@ class PassResultCache:
 _PASS_CACHE = PassResultCache()
 
 
+#: structural products passes memoize under
+#: ``CompilationState.structure_key`` (emission's op skeletons), by
+#: ``(pass name, key)``; bounded, no counters
+_STRUCTURAL: dict[tuple[str, str], object] = {}
+
+#: entries :data:`_STRUCTURAL` keeps before it starts over
+MAX_STRUCTURAL = 64
+
+
+def structural_memo(name: str, key: str | None, build: Callable[[], T]) -> T:
+    """``build()``, memoized under pass ``name`` and structure ``key``.
+
+    ``key`` is a pass-cache key that pins the graph structure and the
+    whole pipeline before the caller (see
+    :attr:`~repro.synapse.passes.state.CompilationState.structure_key`),
+    so whatever ``build`` derives from structure alone is a pure
+    function of it. ``None`` (no structural replay in effect) builds
+    afresh and stores nothing.
+    """
+    if key is None:
+        return build()
+    slot = (name, key)
+    product = _STRUCTURAL.get(slot)
+    if product is None:
+        product = build()
+        if len(_STRUCTURAL) >= MAX_STRUCTURAL:
+            _STRUCTURAL.clear()
+        _STRUCTURAL[slot] = product
+    return product
+
+
 def pass_cache() -> PassResultCache:
     """The process-wide pass-result cache."""
     return _PASS_CACHE
 
 
 def reset_pass_cache() -> None:
-    """Drop every cached pass result (test isolation)."""
+    """Drop every cached pass result and structural memo (test
+    isolation)."""
     _PASS_CACHE.clear()
+    _STRUCTURAL.clear()
 
 
 def pass_cache_stats() -> dict:

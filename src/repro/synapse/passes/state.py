@@ -38,9 +38,8 @@ class PendingOp:
     nodes: list[Node]
     engine: EngineKind
     items: list[WorkItem]
-    reads: set[int] = field(default_factory=set)
-    #: value ids internal to the fused chain (never materialized)
-    internal: set[int] = field(default_factory=set)
+    #: storage vids read from outside the op, ascending
+    reads: tuple[int, ...] = ()
     #: HBM bytes of every member's chain-external reads (per read, not
     #: deduplicated — mirrors ``WorkItem.bytes_read`` accounting)
     external_read_bytes: int = 0
@@ -71,6 +70,9 @@ class CompilationState:
     alias: dict[int, int] = field(default_factory=dict)
     #: node ids elided as pure views (ViewElisionPass)
     elided: set[int] = field(default_factory=set)
+    #: fusion's structural decisions, one plan per pending op — the
+    #: payload ElementwiseFusionPass records and replays
+    groups: list | None = None
     #: fusion groups in program order (ElementwiseFusionPass); ``None``
     #: until the grouping stage has run
     pending: list[PendingOp] | None = None
@@ -78,6 +80,11 @@ class CompilationState:
     ops: list[ScheduledOp] | None = None
     #: liveness plan (MemoryPlanningPass)
     memory: MemoryPlan | None = None
+    #: the pass-cache key of the pass that ran last, when that pass was
+    #: cacheable and keyed on structure alone; it then pins the graph
+    #: structure and every decision so far, and the next pass may
+    #: memoize structural work under it (see ``structural_memo``)
+    structure_key: str | None = None
     #: compiler statistics; ``stats["passes"]`` is the per-pass report
     stats: dict = field(default_factory=lambda: {"passes": []})
     _opdefs: dict[str, OpDef] = field(default_factory=dict)

@@ -120,14 +120,21 @@ def signatures(graph: Graph) -> tuple[str, str, str]:
     full = [f"graph:{graph.name}\n"]
     struct = [f"structure:{graph.name}\n"]
     geom = ["geometry\n"]
+    # a graph repeats a few dozen shapes: print each once per walk
+    # (shapes hold only ints, so equal shapes print alike); a dtype's
+    # ``_value_`` is ``.value`` without the enum descriptor's cost
+    shape_text: dict[tuple, str] = {}
     for vid, v in sorted(graph.values.items()):
-        shape = f"v:{vid}:{v.shape}"
-        meta = f"{v.dtype.value}:{v.kind}:{v.name}\n"
+        text = shape_text.get(v.shape)
+        if text is None:
+            text = shape_text[v.shape] = str(v.shape)
+        shape = f"v:{vid}:{text}"
+        meta = f"{v.dtype._value_}:{v.kind}:{v.name}\n"
         full.append(f"{shape}:{meta}")
         struct.append(f"v:{vid}:{meta}")
         geom.append(f"{shape}\n")
     for n in graph.nodes:
-        attrs = repr(sorted(n.attrs.items()))
+        attrs = repr(sorted(n.attrs.items())) if n.attrs else "[]"
         head = f"n:{n.nid}:{n.op}:{n.inputs}:{n.output}:"
         tail = f"{n.src}:{n.scope}\n"
         full.append(f"{head}{attrs}:{tail}")

@@ -103,17 +103,71 @@ def op_duration_us(cost: CostModel, op: ScheduledOp) -> float:
     return op_cost_parts(cost, op).uncontended_time_us(cost.mem_bandwidth)
 
 
+#: calibrations x engines a work item keeps prices for; pricing one
+#: more clears the item's memo first, so it never grows past this
+_PRICES_PER_ITEM = 8
+
+
+def _recall(memo: list, key: str, slot):
+    """The price an item's memo holds under ``(key, slot)``, or None.
+
+    ``WorkItem.costs`` is a flat ``[key, slot, price, ...]`` list:
+    nearly every item is priced under one calibration, and a three-slot
+    list is a third the size of a one-entry dict.
+    """
+    for i in range(0, len(memo), 3):
+        if memo[i + 1] is slot and memo[i] == key:
+            return memo[i + 2]
+    return None
+
+
+def _remember(memo: list, key: str, slot, price) -> None:
+    """Add ``price`` under ``(key, slot)`` to an item's memo."""
+    if len(memo) >= 3 * _PRICES_PER_ITEM:
+        memo.clear()
+    memo += (key, slot, price)
+
+
+def _item_parts(
+    cost: CostModel, engine: EngineKind, item: WorkItem
+) -> CostParts:
+    """``item``'s decomposed cost on ``engine``, priced once per
+    calibration and kept on the item."""
+    key = cost.price_key
+    parts = _recall(item.costs, key, engine)
+    if parts is None:
+        parts = cost.cost_parts(engine, item)
+        _remember(item.costs, key, engine, parts)
+    return parts
+
+
 def _fused_compute_us(cost: CostModel, op: ScheduledOp) -> float:
-    """Summed on-chip compute of a fused chain's members, launch-free."""
-    launch = cost.fused_launch_us
+    """Summed on-chip compute of a fused chain's members, launch-free.
+
+    Each member's launch-free compute is priced once per calibration
+    and kept on the item (engine slot ``None``), beside its
+    :class:`CostParts`.
+    """
+    key = cost.price_key
     compute = 0.0
     for item in op.items:
-        bare = WorkItem(
-            item.name, item.op_class, flops=item.flops, elements=item.elements,
-            dtype=item.dtype, special_fn=item.special_fn,
-        )
-        compute += cost.time_us(op.engine, bare) - launch
+        bare_us = _recall(item.costs, key, None)
+        if bare_us is None:
+            bare_us = _launch_free_us(cost, op.engine, item)
+            _remember(item.costs, key, None, bare_us)
+        compute += bare_us
     return compute
+
+
+def _launch_free_us(
+    cost: CostModel, engine: EngineKind, item: WorkItem
+) -> float:
+    """``item``'s on-chip compute on ``engine``, without traffic or launch."""
+    bare = WorkItem(
+        item.name, item.op_class, flops=item.flops, elements=item.elements,
+        dtype=item.dtype, special_fn=item.special_fn,
+    )
+    return cost.time_us(engine, bare) - cost.fused_launch_us
 
 
 def op_cost_parts(cost: CostModel, op: ScheduledOp) -> CostParts:
@@ -125,12 +179,14 @@ def op_cost_parts(cost: CostModel, op: ScheduledOp) -> CostParts:
     the chain edges (all members' external reads + the final write) and
     one launch total; how that traffic composes is the cost model's
     ``fused_parts`` decision (Gaudi: the shared-HBM channel; WSE: the
-    wafer-SRAM drain, off the arbiter).
+    wafer-SRAM drain, off the arbiter). Member prices come from the
+    items' own memos, so a work item shared by many schedules is priced
+    once per calibration.
     """
     if not op.items:
         raise ExecutionError(f"scheduled op {op.label!r} has no work items")
     if len(op.items) == 1:
-        return cost.cost_parts(op.engine, op.items[0])
+        return _item_parts(cost, op.engine, op.items[0])
     fusion = cost.fusion_engine
     if op.engine is not fusion:
         raise ExecutionError(
@@ -545,15 +601,29 @@ class _SchedulePrep:
     def __init__(self, schedule: Schedule, cost: CostModel):
         bandwidth = cost.mem_bandwidth
         ops = schedule.ops
-        parts = [op_cost_parts(cost, op) for op in ops]
-        self.durations = [p.uncontended_time_us(bandwidth) for p in parts]
-        self.compute = [p.compute_us for p in parts]
-        self.hbm = [p.hbm_bytes for p in parts]
-        self.serial = [p.serial_us for p in parts]
-        self.nominal = [
-            max(p.compute_us, p.uncontended_mem_us(bandwidth)) for p in parts
-        ]
-        self.cap = [p.rate_cap for p in parts]
+        self.durations = durations = []
+        self.compute = compute = []
+        self.hbm = hbm = []
+        self.serial = serial = []
+        self.nominal = nominal = []
+        self.cap = cap = []
+        self.heads = heads = []
+        # one walk; the sums are CostParts.uncontended_time_us's, term
+        # for term, so the floats are identical
+        for op in ops:
+            p = op_cost_parts(cost, op)
+            nom = max(p.compute_us, p.uncontended_mem_us(bandwidth))
+            durations.append(nom + p.launch_us + p.fixed_us)
+            compute.append(p.compute_us)
+            hbm.append(p.hbm_bytes)
+            serial.append(p.launch_us + p.fixed_us)
+            nominal.append(nom)
+            cap.append(p.rate_cap)
+            # per-op event fields that never change across executions:
+            # (name, engine, src, scope, flops, hbm_bytes)
+            heads.append(
+                (op.label, op.engine, op.src, op.scope, op.flops, p.hbm_bytes)
+            )
         # engine index in first-appearance order (matches the order the
         # scalar loop's queue dict preserves)
         engine_ids: dict[EngineKind, int] = {}
@@ -562,29 +632,25 @@ class _SchedulePrep:
         ]
         self.engines = list(engine_ids)
         self.consumers_of, self.blocked_proto = _dep_graph(schedule)
-        # per-op event fields that never change across executions:
-        # (name, engine, src, scope, flops, hbm_bytes)
-        self.heads = [
-            (op.label, op.engine, op.src, op.scope, op.flops, p.hbm_bytes)
-            for op, p in zip(ops, parts)
-        ]
 
 
 def _schedule_prep(schedule: Schedule, cost: CostModel) -> _SchedulePrep:
     """The (cached) runtime prep for ``schedule`` under ``cost``.
 
-    Keyed by the config's canonical ``repr`` (the same value-form
-    :func:`~repro.synapse.recipe.recipe_key` hashes), so two devices
-    with equal calibration share one prep and a different calibration
-    can never alias a stale one. Compiled schedules are immutable after
-    compilation (the recipe cache clones to enforce it), which is what
-    makes attaching derived state to them safe.
+    Keyed by the model's ``price_key`` (its class and the config's
+    canonical ``repr``, the same value-form
+    :func:`~repro.synapse.recipe.recipe_key` hashes, computed once per
+    cost model), so two devices with equal calibration share one prep
+    and a different calibration can never alias a stale one. Compiled
+    schedules are immutable after compilation (the recipe cache clones
+    to enforce it), which is what makes attaching derived state to
+    them safe.
     """
     cache = schedule.__dict__.get("_runtime_prep")
     if cache is None:
         cache = {}
         schedule.__dict__["_runtime_prep"] = cache
-    key = repr(cost.config)
+    key = cost.price_key
     prep = cache.get(key)
     if prep is None:
         prep = _SchedulePrep(schedule, cost)

@@ -156,6 +156,7 @@ class TestTypedErrors:
         (["--backend", "wse", "table1"], "table1 maps ops to Gaudi's"),
         (["--backend", "wse", "ablation-overlap"],
          "ablation-overlap measures MME idle time"),
+        (["--backend", "wse", "energy"], "energy prices Gaudi's"),
     ])
     def test_bad_flags_exit_2(self, capsys, argv, message):
         assert main(argv) == 2

@@ -176,6 +176,85 @@ class TestSharedLiveness:
         assert planned.memory.peak_bytes < oracle.memory.peak_bytes
         self._assert_agree(planned)
 
+    @pytest.mark.parametrize("policy", ["none", "auto"])
+    def test_matches_reference_walk(self, policy):
+        """The liveness walk equals the straightforward one it replaced
+        (bytes re-read at every alloc and free, intervals from sorted
+        read windows) on plain and planner-rewritten op lists."""
+        rec, _ = record_checkpointed_layer()
+        oracle = GraphCompiler(options=ORACLE).compile(rec.graph)
+        schedule = GraphCompiler(options=dataclasses.replace(
+            ORACLE, memory_policy=policy,
+            hbm_budget=activation_budget(oracle, 0.9),
+        )).compile(rec.graph)
+        live = compute_liveness(schedule.graph, schedule.ops)
+        ref = _reference_liveness(schedule.graph, schedule.ops)
+        assert (live.peak_bytes, live.peak_index, live.persistent_bytes) \
+            == (ref["peak"], ref["peak_index"], ref["persistent"])
+        assert live.free_after == ref["free_after"]
+        assert live.live_at == ref["live_at"]
+        assert live.allocs_at == ref["allocs_at"]
+        assert live.frees_at == ref["frees_at"]
+        assert {
+            vid: [(s.start, s.end) for s in spans]
+            for vid, spans in live.intervals.items()
+        } == ref["intervals"]
+
+
+def _reference_liveness(graph, ops):
+    """Interval liveness as first written: a direct transcription of
+    the rules in :mod:`repro.synapse.liveness`."""
+    from repro.synapse.liveness import fused_internal_values
+
+    persistent = sum(v.nbytes for v in graph.graph_inputs())
+    inputs = {v.vid for v in graph.graph_inputs()}
+    internal = fused_internal_values(graph, ops)
+    writes_of, reads_of = {}, {}
+    for pos, op in enumerate(ops):
+        for vid in op.reads:
+            reads_of.setdefault(vid, []).append(pos)
+        for vid in op.writes:
+            writes_of.setdefault(vid, []).append(pos)
+    intervals, allocs_at, frees_at, free_after = {}, {}, {}, {}
+    for vid, wpos in writes_of.items():
+        if vid in inputs or vid in internal:
+            continue
+        rpos = sorted(reads_of.get(vid, []))
+        spans = []
+        for i, w in enumerate(wpos):
+            nxt = wpos[i + 1] if i + 1 < len(wpos) else None
+            window = [r for r in rpos if r >= w and (nxt is None or r < nxt)]
+            if window:
+                end = max(window)
+            elif nxt is None:
+                end = None
+            else:
+                end = w
+            spans.append((w, end))
+        intervals[vid] = spans
+        for start, end in spans:
+            allocs_at.setdefault(start, []).append(vid)
+            if end is not None:
+                frees_at.setdefault(end, []).append(vid)
+        if spans[-1][1] is not None:
+            free_after[vid] = spans[-1][1]
+    live = peak = persistent
+    peak_index = -1
+    live_at = []
+    for pos in range(len(ops)):
+        for vid in allocs_at.get(pos, ()):
+            live += graph.value(vid).nbytes
+        if live > peak:
+            peak, peak_index = live, pos
+        live_at.append(live)
+        for vid in frees_at.get(pos, ()):
+            live -= graph.value(vid).nbytes
+    return {
+        "persistent": persistent, "peak": peak, "peak_index": peak_index,
+        "live_at": live_at, "allocs_at": allocs_at, "frees_at": frees_at,
+        "free_after": free_after, "intervals": intervals,
+    }
+
 
 class TestRecipeCacheKeying:
     """The cache-poisoning regression: every memory-relevant option and
