@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from typing import Any, Callable
 
@@ -428,6 +429,16 @@ def _run(args: argparse.Namespace) -> int:
 
         get_backend(args.backend)  # fail fast on unknown names
     budget = args.hbm_budget
+    if budget is not None:
+        # checked in GiB, as typed: nan and inf have no byte count,
+        # and a value under one byte rounds to a budget of 0
+        nbytes = int(budget * (1 << 30)) if math.isfinite(budget) else 0
+        if nbytes < 1:
+            raise ConfigError(
+                "--hbm-budget must be a finite number of GiB of at least "
+                f"one byte, got {budget:g}"
+            )
+        budget = nbytes
     # each flag given on the command line overrides one field
     flags = {
         "use_recipe_cache": False if args.no_recipe_cache else None,
@@ -437,7 +448,7 @@ def _run(args: argparse.Namespace) -> int:
         "scheduler": args.scheduler,
         "backend": args.backend,
         "tpc_slice_ops": True if args.tpc_slice_ops else None,
-        "hbm_budget": None if budget is None else int(budget * (1 << 30)),
+        "hbm_budget": budget,
         "memory_policy": args.memory_policy,
     }
     options = dataclasses.replace(

@@ -188,6 +188,7 @@ class PassManager:
                     payload = compiler_pass.record(state)
                     if payload is not None:
                         installed_sigs = None
+                        graph_nodes = 0
                         if state.graph is not graph_in:
                             # the entry will install this graph on
                             # replay: it is final now, so walk it once
@@ -195,7 +196,10 @@ class PassManager:
                             sigs = installed_sigs = _component_sigs(
                                 sig_graph
                             )
-                        cache.put(key, (payload, installed_sigs))
+                            graph_nodes = len(sig_graph.nodes)
+                        cache.put(
+                            key, (payload, installed_sigs), graph_nodes
+                        )
                     mode = "miss"
                     recomputed += 1
             state.structure_key = (

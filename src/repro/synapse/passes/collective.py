@@ -94,21 +94,34 @@ class CollectiveInjectionPass(CompilerPass):
         # Each bucket's all-reduce is anchored right after its last
         # producer. One forward rebuild suffices: deps always point
         # backward, so the index map is complete whenever it is read.
+        # Ops arrive indexed by position. Before the first anchor the
+        # map is the identity and those ops are kept as they are; past
+        # it the map is increasing, so an op's (sorted, unique) deps
+        # mapped in order stay sorted and unique, and only a reader of
+        # a bucketed gradient gains a dep to merge.
         anchored: dict[int, list[list[tuple[int, int, int]]]] = {}
         for b in buckets:
             anchored.setdefault(max(i for i, _, _ in b), []).append(b)
-        index_map: dict[int, int] = {}
+        first = min(anchored)
+        new_ops: list[ScheduledOp] = state.ops[:first]
+        index_map = list(range(first))  # old index -> new index
         coll_for_vid: dict[int, int] = {}
-        new_ops: list[ScheduledOp] = []
         n_collectives = 0
-        for op in state.ops:
+        for op in state.ops[first:]:
             old_index = op.index
-            # Later readers of a bucketed gradient (the optimizer) must
-            # wait for the reduced value.
-            extra = {coll_for_vid[v] for v in op.reads if v in coll_for_vid}
-            index_map[old_index] = len(new_ops)
-            op.index = len(new_ops)
-            op.deps = sorted({*(index_map[d] for d in op.deps), *extra})
+            new_index = len(new_ops)
+            index_map.append(new_index)
+            if new_index != old_index:
+                op.index = new_index
+                deps = tuple([index_map[d] for d in op.deps])
+                if not coll_for_vid.keys().isdisjoint(op.reads):
+                    # a later reader of a bucketed gradient (the
+                    # optimizer) waits for the reduced value
+                    deps = tuple(sorted({*deps, *(
+                        coll_for_vid[v] for v in op.reads
+                        if v in coll_for_vid
+                    )}))
+                op.deps = deps
             new_ops.append(op)
             for b in anchored.get(old_index, ()):
                 vids = [v for _, v, _ in b]
@@ -125,12 +138,12 @@ class CollectiveInjectionPass(CompilerPass):
                     index=len(new_ops),
                     label=f"all_reduce:bucket{n_collectives}",
                     engine=state.backend.collective_engine,
-                    items=[item],
-                    deps=sorted(index_map[i] for i, _, _ in b),
+                    items=(item,),
+                    deps=tuple(sorted(index_map[i] for i, _, _ in b)),
                     src="all_reduce",
                     scope="ddp",
-                    reads=sorted(vids),
-                    writes=[],  # in-place reduction over the gradients
+                    reads=tuple(sorted(vids)),
+                    writes=(),  # in-place reduction over the gradients
                 )
                 new_ops.append(coll)
                 for v in vids:

@@ -39,10 +39,10 @@ class OpSkeleton(NamedTuple):
     """Emission's structural output, item-free.
 
     ``ops`` holds one ``(fill, ref, label, engine, deps, src, scope,
-    reads)`` row per emitted op: ``fill`` says what its items come from
-    and ``ref`` which pending op (by index), staged value (by vid) or op
-    kind; a compute op's writes and node ids are its pending op's.
-    ``counts`` are the emit stats.
+    reads, writes, node_ids)`` row per emitted op: ``fill`` says what
+    its items come from and ``ref`` which pending op (by index), staged
+    value (by vid) or op kind. The sequence fields are tuples, handed to
+    every compile's ops as they are. ``counts`` are the emit stats.
     """
 
     ops: list[tuple]
@@ -74,7 +74,7 @@ def plan_ops(state: CompilationState) -> OpSkeleton:
             deps.append(len(rows))
             rows.append((
                 _HOST, first.op, f"recompile:{first.op}",
-                backend.host_engine, (), first.src, first.scope, (),
+                backend.host_engine, (), first.src, first.scope, (), (), (),
             ))
             n_recompile += 1
 
@@ -91,7 +91,7 @@ def plan_ops(state: CompilationState) -> OpSkeleton:
                 rows.append((
                     _DMA, vid, f"dma:{graph.value(vid).name or vid}",
                     backend.dma_engine, (prod_idx,), "dma", first.scope,
-                    (vid,),
+                    (vid,), (), (),
                 ))
                 n_dma += 1
             deps.append(dma_cache[key])
@@ -103,7 +103,8 @@ def plan_ops(state: CompilationState) -> OpSkeleton:
             if len(pending.nodes) == 1
             else f"fused[{'+'.join(n.op for n in pending.nodes)}]",
             pending.engine, tuple(sorted(set(deps))), first.src,
-            first.scope, pending.reads,
+            first.scope, pending.reads, (pending.output_vid,),
+            tuple([n.nid for n in pending.nodes]),
         ))
 
     return OpSkeleton(rows, {
@@ -122,28 +123,26 @@ def fill_ops(
     pending = state.pending
     penalty = state.options.recompile_penalty_us
     ops: list[ScheduledOp] = []
-    for index, (fill, ref, label, engine, deps, src, scope, reads) in (
-        enumerate(skeleton.ops)
-    ):
+    for index, (
+        fill, ref, label, engine, deps, src, scope, reads, writes, node_ids,
+    ) in enumerate(skeleton.ops):
         if fill == _COMPUTE:
             source = pending[ref]
             ops.append(ScheduledOp(
-                index, label, engine, source.items, list(deps), src, scope,
-                list(reads), [source.output_vid],
-                [n.nid for n in source.nodes], source.external_read_bytes,
+                index, label, engine, source.items, deps, src, scope,
+                reads, writes, node_ids, source.external_read_bytes,
             ))
         elif fill == _DMA:
             item = _dma_item(ref, graph.value(ref).nbytes)
             ops.append(ScheduledOp(
-                index, label, engine, [item], list(deps), src, scope,
-                list(reads),
+                index, label, engine, (item,), deps, src, scope, reads,
             ))
         else:
             item = WorkItem(
                 f"recompile:{ref}", OpClass.HOST, fixed_time_us=penalty,
             )
             ops.append(ScheduledOp(
-                index, label, engine, [item], [], src, scope,
+                index, label, engine, (item,), deps, src, scope,
             ))
     return ops
 

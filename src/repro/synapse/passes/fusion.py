@@ -154,7 +154,7 @@ def materialize_pending(
     for plan in plans:
         nodes = [node_of[nid] for nid in plan.nids]
         # members share work items with every node of the same key
-        items = [node_item(graph, node) for node in nodes]
+        items = tuple([node_item(graph, node) for node in nodes])
         read_bytes = items[0].bytes_read
         if plan.ext:
             read_bytes = _chain_read_bytes(graph, nodes, read_bytes, plan.ext)

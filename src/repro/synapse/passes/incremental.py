@@ -44,6 +44,11 @@ T = TypeVar("T")
 SIGNATURE_COMPONENTS = ("structure", "geometry")
 
 
+#: lowered-graph nodes the pass cache's graph-carrying entries may
+#: retain together; past it the least recently used of them go
+MAX_GRAPH_NODES = 65_536
+
+
 class PassResultCache:
     """Bounded LRU of recorded pass effects, shared process-wide.
 
@@ -57,6 +62,12 @@ class PassResultCache:
     serialized: unlike the recipe cache this tier never touches disk,
     it only amortizes repeated pipeline runs inside one process (a
     sweep).
+
+    Two bounds hold: ``maxsize`` entries, and :data:`MAX_GRAPH_NODES`
+    nodes across the entries that carry a graph. A graph outweighs a
+    few hundred tuples by orders of magnitude, so the second bound is
+    what caps memory in a long sweep; it evicts the least recently used
+    graph-carrying entries, never the newest one.
     """
 
     def __init__(self, maxsize: int = 512):
@@ -66,6 +77,9 @@ class PassResultCache:
         self.hits = 0
         self.misses = 0
         self._entries: "OrderedDict[str, tuple]" = OrderedDict()
+        #: graph-carrying keys in LRU order -> their graph's node count
+        self._graphs: "OrderedDict[str, int]" = OrderedDict()
+        self._graph_nodes = 0
 
     def get(self, key: str) -> tuple | None:
         entry = self._entries.get(key)
@@ -73,17 +87,31 @@ class PassResultCache:
             self.misses += 1
             return None
         self._entries.move_to_end(key)
+        if key in self._graphs:
+            self._graphs.move_to_end(key)
         self.hits += 1
         return entry
 
-    def put(self, key: str, entry: tuple) -> None:
+    def put(self, key: str, entry: tuple, graph_nodes: int = 0) -> None:
+        """Store ``entry``; ``graph_nodes`` sizes the graph it carries."""
+        self._graph_nodes -= self._graphs.pop(key, 0)
         self._entries[key] = entry
         self._entries.move_to_end(key)
+        if graph_nodes:
+            self._graphs[key] = graph_nodes
+            self._graph_nodes += graph_nodes
         while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+            old, _ = self._entries.popitem(last=False)
+            self._graph_nodes -= self._graphs.pop(old, 0)
+        while self._graph_nodes > MAX_GRAPH_NODES and len(self._graphs) > 1:
+            old, nodes = self._graphs.popitem(last=False)
+            del self._entries[old]
+            self._graph_nodes -= nodes
 
     def clear(self) -> None:
         self._entries.clear()
+        self._graphs.clear()
+        self._graph_nodes = 0
         self.hits = 0
         self.misses = 0
 
@@ -93,6 +121,8 @@ class PassResultCache:
             "misses": self.misses,
             "size": len(self._entries),
             "maxsize": self.maxsize,
+            "graphs": len(self._graphs),
+            "graph_nodes": self._graph_nodes,
         }
 
     def __len__(self) -> int:

@@ -292,11 +292,12 @@ class MemoryPlanningPass(CompilerPass):
     def _insert(ops: list[ScheduledOp], pos: int, new_op: ScheduledOp) -> None:
         """Insert ``new_op`` at ``pos``; renumber indices and deps."""
         assert all(d < pos for d in new_op.deps), "insertion breaks topology"
-        for op in ops:
-            op.deps = [d + 1 if d >= pos else d for d in op.deps]
+        # deps point backward: only ops from ``pos`` on can name ``pos``
+        for op in ops[pos:]:
+            op.deps = tuple([d + 1 if d >= pos else d for d in op.deps])
         ops.insert(pos, new_op)
-        for i, op in enumerate(ops):
-            op.index = i
+        for i in range(pos, len(ops)):
+            ops[i].index = i
 
     @classmethod
     def _apply_spill(
@@ -314,13 +315,13 @@ class MemoryPlanningPass(CompilerPass):
             index=0,
             label=f"spill_out:{value.name or vid}",
             engine=dma_engine,
-            items=[WorkItem(
+            items=(WorkItem(
                 f"spill_out:{vid}", OpClass.DATA_MOVE,
                 bytes_read=value.nbytes, pipelined=False,
-            )],
-            deps=[e0],
+            ),),
+            deps=(e0,),
             src="spill", scope=ops[e0].scope,
-            reads=[vid],
+            reads=(vid,),
         )
         cls._insert(ops, e0 + 1, out)
         # every position >= e0 + 1 shifted by one: the consumer is at
@@ -329,18 +330,18 @@ class MemoryPlanningPass(CompilerPass):
             index=0,
             label=f"spill_in:{value.name or vid}",
             engine=dma_engine,
-            items=[WorkItem(
+            items=(WorkItem(
                 f"spill_in:{vid}", OpClass.DATA_MOVE,
                 bytes_written=value.nbytes, pipelined=False,
-            )],
-            deps=[out.index],
+            ),),
+            deps=(out.index,),
             src="spill", scope=ops[e1 + 1].scope,
-            writes=[vid],
+            writes=(vid,),
         )
         cls._insert(ops, e1 + 1, restore)
         for op in ops[restore.index + 1:]:
             if vid in op.reads and restore.index not in op.deps:
-                op.deps = sorted(set(op.deps) | {restore.index})
+                op.deps = tuple(sorted({*op.deps, restore.index}))
 
     @classmethod
     def _apply_recompute(
@@ -362,7 +363,7 @@ class MemoryPlanningPass(CompilerPass):
                     if r in ops[i].writes:
                         deps.append(i)
                         break
-            clone.deps = sorted(set(deps))
+            clone.deps = tuple(sorted(set(deps)))
             cls._insert(ops, pos, clone)
             pos += 1
         rewritten = {
@@ -371,4 +372,4 @@ class MemoryPlanningPass(CompilerPass):
         for op in ops[pos:]:
             extra = {idx for w, idx in rewritten.items() if w in op.reads}
             if extra - set(op.deps):
-                op.deps = sorted(set(op.deps) | extra)
+                op.deps = tuple(sorted({*op.deps, *extra}))

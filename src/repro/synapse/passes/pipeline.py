@@ -130,11 +130,11 @@ class PipelinePartitionPass(CompilerPass):
                     last_read_stage[vid] = max(
                         last_read_stage.get(vid, 0), s
                     )
-        crossing: list[list[int]] = [
-            sorted(
+        crossing: list[tuple[int, ...]] = [
+            tuple(sorted(
                 vid for vid, ps in producer_stage.items()
                 if ps <= b and last_read_stage.get(vid, 0) > b
-            )
+            ))
             for b in range(pp - 1)
         ]
         boundary_bytes = [
@@ -157,29 +157,29 @@ class PipelinePartitionPass(CompilerPass):
         def _boundary(b: int) -> None:
             vids = crossing[b]
             elems = max(1, -(-boundary_bytes[b] // itemsize(DType.FP32)))
-            deps = sorted(
+            deps = tuple(sorted(
                 {index_map[producer_of[v]] for v in vids}
                 | ({recv_at[b - 1]} if b - 1 in recv_at else set())
-            )
+            ))
             send = ScheduledOp(
                 index=0, label=f"send:stage{b}",
                 engine=collective_engine,
-                items=[work_item_for(
+                items=(work_item_for(
                     "send", [(elems,)], (elems,), DType.FP32, {},
                     label=f"send:stage{b}",
-                )],
-                deps=deps, src="send", scope="pp", reads=list(vids),
+                ),),
+                deps=deps, src="send", scope="pp", reads=vids,
             )
             _append(send, b)
             recv = ScheduledOp(
                 index=0, label=f"recv:stage{b + 1}",
                 engine=collective_engine,
-                items=[work_item_for(
+                items=(work_item_for(
                     "recv", [(elems,)], (elems,), DType.FP32, {},
                     label=f"recv:stage{b + 1}",
-                )],
-                deps=[send.index], src="recv", scope="pp",
-                reads=list(vids),
+                ),),
+                deps=(send.index,), src="recv", scope="pp",
+                reads=vids,
             )
             _append(recv, b + 1)
             recv_at[b] = recv.index
@@ -192,14 +192,14 @@ class PipelinePartitionPass(CompilerPass):
                 current += 1
             clone = op.clone()
             index_map[op.index] = len(new_ops)
-            clone.deps = sorted(
+            clone.deps = tuple(sorted(
                 {index_map[d] for d in op.deps if d in index_map}
                 | {
                     recv_at[s - 1] for v in op.reads
                     if s > 0 and producer_stage.get(v, s) < s
                     and (s - 1) in recv_at
                 }
-            )
+            ))
             _append(clone, s)
         while current < pp - 1:  # degenerate: empty trailing stages
             _boundary(current)
@@ -210,14 +210,14 @@ class PipelinePartitionPass(CompilerPass):
             s = stage_of_old[op.index]
             clone = op.clone()
             index_map[op.index] = len(new_ops)
-            clone.deps = sorted(
+            clone.deps = tuple(sorted(
                 {index_map[d] for d in op.deps if d in index_map}
                 | {
                     recv_at[s - 1] for v in op.reads
                     if s > 0 and producer_stage.get(v, s) < s
                     and (s - 1) in recv_at
                 }
-            )
+            ))
             _append(clone, s)
         state.ops = new_ops
 

@@ -37,7 +37,7 @@ class PendingOp:
 
     nodes: list[Node]
     engine: EngineKind
-    items: list[WorkItem]
+    items: tuple[WorkItem, ...]
     #: storage vids read from outside the op, ascending
     reads: tuple[int, ...] = ()
     #: HBM bytes of every member's chain-external reads (per read, not

@@ -117,7 +117,7 @@ class TensorParallelPass(CompilerPass):
                 label=op.items[0].name, opdef=matmul_def,
             )
             shard_op = op.clone()
-            shard_op.items = [item]
+            shard_op.items = (item,)
             plans[op.index] = (shard_op, coll)
             sharded += 1
             if coll is None:
@@ -146,9 +146,9 @@ class TensorParallelPass(CompilerPass):
             }
             index_map[old_index] = len(new_ops)
             shard_op.index = len(new_ops)
-            shard_op.deps = sorted(
+            shard_op.deps = tuple(sorted(
                 {*(index_map[d] for d in shard_op.deps), *extra}
-            )
+            ))
             new_ops.append(shard_op)
             if coll is None:
                 continue
@@ -174,12 +174,12 @@ class TensorParallelPass(CompilerPass):
                 index=len(new_ops),
                 label=item.name,
                 engine=state.backend.collective_engine,
-                items=[item],
-                deps=[shard_op.index],
+                items=(item,),
+                deps=(shard_op.index,),
                 src=coll,
                 scope="tp",
-                reads=[out_vid],
-                writes=[],  # gathers/reduces in place
+                reads=(out_vid,),
+                writes=(),  # gathers/reduces in place
             )
             new_ops.append(nic)
             coll_for_vid[out_vid] = nic.index

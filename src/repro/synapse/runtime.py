@@ -999,7 +999,7 @@ def _stage_schedule(
     for op in keep:
         clone = op.clone()
         clone.index = remap[op.index]
-        clone.deps = sorted(remap[d] for d in op.deps if d in remap)
+        clone.deps = tuple(sorted(remap[d] for d in op.deps if d in remap))
         ops.append(clone)
     stats = {k: v for k, v in schedule.stats.items() if k != "pipeline"}
     return Schedule(

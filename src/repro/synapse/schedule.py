@@ -5,11 +5,15 @@ program-ordered list of :class:`ScheduledOp` — compute ops tagged with
 their engine and :class:`~repro.hw.costmodel.WorkItem`, interleaved
 with the DMA staging transfers and host recompilation events the
 compiler inserted. The runtime only sees this structure.
+
+A compiled schedule's sequence fields are tuples and are never changed
+in place: a pass that re-indexes ops assigns new tuples. Clones are
+therefore shallow — an op clone is one new object sharing its tuples,
+and a schedule clone copies only the containers a caller may mutate.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from ..hw.costmodel import EngineKind, WorkItem
@@ -24,17 +28,17 @@ class ScheduledOp:
     label: str
     engine: EngineKind
     #: the member work items; length > 1 only for fused chains
-    items: list[WorkItem]
-    #: indices of ScheduledOps that must complete first
-    deps: list[int] = field(default_factory=list)
+    items: tuple[WorkItem, ...]
+    #: indices of ScheduledOps that must complete first, ascending
+    deps: tuple[int, ...] = ()
     src: str = ""
     scope: str = ""
     #: value ids this op reads / produces (memory planning); DMA and
     #: host ops reference the staged value via ``reads``
-    reads: list[int] = field(default_factory=list)
-    writes: list[int] = field(default_factory=list)
+    reads: tuple[int, ...] = ()
+    writes: tuple[int, ...] = ()
     #: node ids of the graph nodes folded into this op
-    node_ids: list[int] = field(default_factory=list)
+    node_ids: tuple[int, ...] = ()
     #: HBM bytes read from outside the op across *all* members — for a
     #: fused chain this includes external inputs feeding middle members,
     #: which the first member's ``bytes_read`` alone misses. ``None``
@@ -53,21 +57,13 @@ class ScheduledOp:
         return sum(item.flops for item in self.items)
 
     def clone(self) -> "ScheduledOp":
-        """Copy with fresh mutable containers (items are frozen).
+        """A shallow copy: the sequence fields are shared tuples.
 
-        Fills the instance ``__dict__`` directly: the generated
-        ``__init__`` behind ``dataclasses.replace`` costs about as much
-        again as the five list copies.
+        Fills the instance ``__dict__`` directly, which costs less than
+        the generated ``__init__`` behind ``dataclasses.replace``.
         """
         op = object.__new__(type(self))
-        op.__dict__.update(
-            self.__dict__,
-            items=list(self.items),
-            deps=list(self.deps),
-            reads=list(self.reads),
-            writes=list(self.writes),
-            node_ids=list(self.node_ids),
-        )
+        op.__dict__.update(self.__dict__)
         return op
 
 
@@ -106,12 +102,14 @@ class Schedule:
         return sum(op.flops for op in self.ops)
 
     def clone(self) -> "Schedule":
-        """A cache-isolation copy: every mutable layer is duplicated.
+        """A cache-isolation copy of every mutable layer.
 
         The graph is shared (compilation and execution treat it as
-        immutable); ops, the memory plan, and stats are copied so a
-        caller mutating one compile's output cannot poison another
-        (the recipe cache relies on this).
+        immutable), and so are the ops' tuples; the op list, each op,
+        the memory plan, and the dicts and lists of ``stats`` are
+        copied, so a caller reassigning or mutating them in one
+        compile's output cannot poison another (the recipe cache
+        relies on this).
         """
         return Schedule(
             graph=self.graph,
@@ -121,8 +119,23 @@ class Schedule:
                 peak_bytes=self.memory.peak_bytes,
                 free_after=dict(self.memory.free_after),
             ),
-            stats=copy.deepcopy(self.stats),
+            stats=_copy_json(self.stats),
         )
 
     def __len__(self) -> int:
         return len(self.ops)
+
+
+def _copy_json(value):
+    """Copy JSON-shaped ``value``: new dicts and lists, shared leaves.
+
+    Scalars, strings and tuples are immutable, so sharing them is safe;
+    ``stats`` holds nothing else (it round-trips through JSON).
+    """
+    if type(value) is dict:
+        return {k: _copy_json(v) for k, v in value.items()}
+    if type(value) is list:
+        return [
+            _copy_json(v) if type(v) in (dict, list) else v for v in value
+        ]
+    return value

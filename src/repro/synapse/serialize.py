@@ -254,13 +254,15 @@ def schedule_from_json(text: str) -> Schedule:
                 index=spec["index"],
                 label=spec["label"],
                 engine=EngineKind(spec["engine"]),
-                items=[_decode_work_item(i) for i in spec["items"]],
-                deps=list(spec.get("deps", [])),
+                items=tuple([_decode_work_item(i) for i in spec["items"]]),
+                deps=tuple(spec.get("deps", ())),
                 src=spec.get("src", ""),
                 scope=spec.get("scope", ""),
-                reads=[vid_map[v] for v in spec.get("reads", [])],
-                writes=[vid_map[v] for v in spec.get("writes", [])],
-                node_ids=[nid_map[n] for n in spec.get("node_ids", [])],
+                reads=tuple([vid_map[v] for v in spec.get("reads", ())]),
+                writes=tuple([vid_map[v] for v in spec.get("writes", ())]),
+                node_ids=tuple(
+                    [nid_map[n] for n in spec.get("node_ids", ())]
+                ),
                 external_read_bytes=spec.get("external_read_bytes"),
             )
             for spec in payload["ops"]

@@ -157,6 +157,12 @@ class TestTypedErrors:
         (["--backend", "wse", "ablation-overlap"],
          "ablation-overlap measures MME idle time"),
         (["--backend", "wse", "energy"], "energy prices Gaudi's"),
+        *(
+            ([f"--hbm-budget={typed}", "fig8"],
+             "--hbm-budget must be a finite number of GiB of at least one "
+             f"byte, got {typed}")
+            for typed in ("nan", "inf", "-inf", "1e-10", "-1", "0")
+        ),
     ])
     def test_bad_flags_exit_2(self, capsys, argv, message):
         assert main(argv) == 2

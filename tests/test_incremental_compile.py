@@ -19,7 +19,9 @@ from repro.synapse import CompilerOptions, GraphCompiler
 from repro.synapse.lint import lint_passes
 from repro.synapse.passes import (
     CompilerPass,
+    PassResultCache,
     default_passes,
+    incremental,
     pass_cache_stats,
     reset_pass_cache,
 )
@@ -159,6 +161,65 @@ class TestIncrementalReuse:
         cold = compile_graph(record_step(batch), incremental=False)
         warm = compile_graph(record_step(batch), incremental=True)
         assert canonical(warm) == canonical(cold)
+
+
+class TestGraphBound:
+    """Entries that carry a lowered graph are bounded by their node
+    count, not only by the entry count."""
+
+    def test_filling_past_the_cap_evicts_lru_graphs(self):
+        cache = PassResultCache()
+        size = incremental.MAX_GRAPH_NODES // 3
+        cache.put("small", ("payload", None))
+        for i in range(3):
+            cache.put(f"g{i}", ("graph", "sigs"), graph_nodes=size)
+        assert cache.info()["graphs"] == 3
+        assert cache.get("g0") is not None  # g1 is now the oldest graph
+        cache.put("g3", ("graph", "sigs"), graph_nodes=size)
+        info = cache.info()
+        assert info["graphs"] == 3 and info["graph_nodes"] == 3 * size
+        assert cache.get("g1") is None
+        for key in ("small", "g0", "g2", "g3"):
+            assert cache.get(key) is not None
+        assert info["size"] == 4
+
+    def test_the_newest_graph_stays(self):
+        cache = PassResultCache()
+        cache.put("g0", ("graph", "sigs"), graph_nodes=10)
+        huge = incremental.MAX_GRAPH_NODES + 1
+        cache.put("g1", ("graph", "sigs"), graph_nodes=huge)
+        assert cache.get("g0") is None and cache.get("g1") is not None
+        assert cache.info()["graph_nodes"] == huge
+
+    def test_entry_bound_and_reput_keep_the_count(self):
+        cache = PassResultCache(maxsize=2)
+        cache.put("g0", ("graph", "sigs"), graph_nodes=10)
+        cache.put("g0", ("graph", "sigs"), graph_nodes=12)
+        assert cache.info()["graph_nodes"] == 12
+        cache.put("a", ("payload", None))
+        cache.put("b", ("payload", None))  # evicts g0 by entry count
+        info = cache.info()
+        assert (info["graphs"], info["graph_nodes"], info["size"]) == (0, 0, 2)
+        cache.put("g1", ("graph", "sigs"), graph_nodes=5)
+        cache.clear()
+        info = cache.info()
+        assert (info["graphs"], info["graph_nodes"], info["size"]) == (0, 0, 0)
+
+    def test_compiles_report_lowered_graphs(self, monkeypatch):
+        graphs = [record_step(batch) for batch in (2, 4, 8)]
+        compile_graph(graphs[0], incremental=True)
+        stats = pass_cache_stats()
+        assert stats["graphs"] == 1 and stats["graph_nodes"] > 0
+        # a cap below two graphs keeps only the newest; replays after
+        # an eviction recompute and stay byte-identical
+        monkeypatch.setattr(
+            incremental, "MAX_GRAPH_NODES", stats["graph_nodes"]
+        )
+        for graph in graphs[1:] + graphs[:1]:
+            warm = compile_graph(graph, incremental=True)
+            assert pass_cache_stats()["graphs"] == 1
+            cold = compile_graph(graph, incremental=False)
+            assert canonical(warm) == canonical(cold)
 
 
 class TestPassDeclarationLint:

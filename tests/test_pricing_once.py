@@ -94,9 +94,9 @@ class TestSharedItems:
             for op in schedule.ops:
                 if not op.node_ids:
                     continue
-                assert op.items == [
+                assert op.items == tuple(
                     _fresh_item(graph, node_of[nid]) for nid in op.node_ids
-                ], op.label
+                ), op.label
 
     def test_equal_keys_share_one_item(self):
         # compute and DMA staging ops; collectives price their buckets
@@ -125,10 +125,10 @@ class TestSharedItems:
         graph = schedule.graph
         for op in dmas:
             (vid,) = op.reads
-            assert op.items == [WorkItem(
+            assert op.items == (WorkItem(
                 f"dma:{vid}", OpClass.DATA_MOVE,
                 bytes_read=graph.value(vid).nbytes, pipelined=True,
-            )]
+            ),)
 
 
 class TestBounds:

@@ -78,26 +78,54 @@ class TestRecipeKey:
 
 
 class TestScheduleClone:
-    LISTS = ("items", "deps", "reads", "writes", "node_ids")
+    """A compiled schedule's sequence fields are tuples, so clones are
+    shallow: each op is a new object sharing its tuples, and the
+    schedule's op list, memory plan and ``stats`` containers are new."""
+
+    SEQUENCES = ("items", "deps", "reads", "writes", "node_ids")
 
     def test_clone_equals_original(self):
         schedule = GraphCompiler().compile(record_program().graph)
         clone = schedule.clone()
         assert clone.ops == schedule.ops
+        assert clone.ops is not schedule.ops
         for op, copy in zip(schedule.ops, clone.ops):
-            assert type(copy) is type(op)
-            for name in self.LISTS:
-                assert getattr(copy, name) is not getattr(op, name)
+            assert type(copy) is type(op) and copy is not op
+            for name in self.SEQUENCES:
+                assert type(getattr(op, name)) is tuple
+                assert getattr(copy, name) is getattr(op, name)
+        assert clone.stats == schedule.stats
+        assert clone.memory == schedule.memory
+        assert clone.memory.free_after is not schedule.memory.free_after
 
     def test_mutating_a_clone_leaves_the_original(self):
         schedule = GraphCompiler().compile(record_program().graph)
         op = schedule.ops[-1]
-        for name in self.LISTS:
-            before = list(getattr(op, name))
+        for name in self.SEQUENCES:
+            before = getattr(op, name)
             copy = op.clone()
-            getattr(copy, name).append(None)
-            assert getattr(op, name) == before
+            setattr(copy, name, (*before, None))
+            assert getattr(op, name) is before
             assert copy != op
+        copy = op.clone()
+        copy.index += 1
+        copy.label = "renamed"
+        assert (op.index, op.label) != (copy.index, copy.label)
+
+    def test_stats_containers_are_copied(self):
+        schedule = GraphCompiler().compile(record_program().graph)
+        schedule.stats["nested"] = {"list": [1, {"deep": [2]}], "t": (3,)}
+        clone = schedule.clone()
+        assert clone.stats == schedule.stats
+        clone.stats["passes"][0]["pass"] = "poisoned"
+        clone.stats["nested"]["list"][1]["deep"].append(4)
+        clone.stats["nested"]["list"].append(5)
+        assert schedule.stats["passes"][0]["pass"] != "poisoned"
+        assert schedule.stats["nested"] == {
+            "list": [1, {"deep": [2]}], "t": (3,),
+        }
+        # immutable leaves are shared, not copied
+        assert clone.stats["nested"]["t"] is schedule.stats["nested"]["t"]
 
 
 class TestCompilerCaching:
@@ -153,14 +181,18 @@ class TestCompilerCaching:
     def test_hits_are_mutation_isolated(self):
         """Regression: the cache used to hand every hit the same
         Schedule object, so one caller mutating its schedule (stats,
-        memory plan, op lists) silently poisoned every later hit."""
+        memory plan, op list, op fields) silently poisoned every later
+        hit. The ops' sequence fields are tuples: a caller can only
+        reassign them, never append in place."""
         compiler = GraphCompiler()
         graph = record_program().graph
         first = compiler.compile(graph)
+        assert isinstance(first.ops[0].deps, tuple)
         first.stats["passes"].append({"pass": "poisoned"})
         first.stats["poison"] = True
         first.memory.free_after[-1] = 123456
-        first.ops[0].deps.append(999)
+        first.ops[0].deps = (*first.ops[0].deps, 999)
+        first.ops[0].label = "poisoned"
         dropped = first.ops.pop()
         second = compiler.compile(graph)
         assert compiler.last_cache_hit is True
@@ -168,7 +200,15 @@ class TestCompilerCaching:
         assert "poison" not in second.stats
         assert -1 not in second.memory.free_after
         assert 999 not in second.ops[0].deps
+        assert second.ops[0].label != "poisoned"
         assert second.ops[-1].label == dropped.label
+        # reassigning on one hit leaves the next hit unchanged too
+        assert dropped.reads
+        second.ops[-1].reads = ()
+        second.ops.pop()
+        third = compiler.compile(graph)
+        assert third.ops[-1].reads == dropped.reads
+        assert len(third.ops) == len(second.ops) + 1
 
     def test_stored_schedule_not_aliased_by_compiler(self):
         """The object the compiler returns on a miss is the one it just
