@@ -13,38 +13,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import re
 import sys
-from typing import Any, Callable
 
 from .core import (
+    EXPERIMENTS,
+    GLOBAL_FLAGS,
     SWEEP_POLICIES,
-    run_activation_study,
-    run_attention_study,
-    run_backend_ablation,
-    run_chunked_attention_study,
-    run_decode_study,
-    run_e2e,
-    run_energy_study,
     run_full_study,
-    run_fusion_ablation,
-    run_generation_comparison,
-    run_hbm_contention_ablation,
-    run_kernel_pack_ablation,
-    run_memory_ablation,
-    run_mme_vs_tpc,
-    run_op_mapping,
-    run_overlap_scheduler_ablation,
-    run_parallel_study,
-    run_pass_toggle_ablation,
-    run_pipelined_attention_study,
-    run_reorder_ablation,
-    run_comm_overlap_ablation,
-    run_scaling_study,
-    run_seq_sweep,
-    run_serving_ablation,
-    run_tpc_core_sweep,
+    study_entries,
 )
-from .hw.device import default_device
+from .hw.backend import backend_names, get_backend
 from .synapse import (
     DEFAULT_RECIPE_CACHE_DIR,
     PASS_OPTION_FLAGS,
@@ -55,83 +34,42 @@ from .synapse import (
 )
 from .util.errors import ConfigError, ReproError
 
-
-#: builds one experiment's result (``render()`` + ``checks()``) from the
-#: run's compiler options, ``--cards`` (None when not given) and ``--jobs``
-Runner = Callable[[CompilerOptions, int | None, int], Any]
-
-#: the commands that read ``--cards``; every other one refuses it
-CARDS_COMMANDS = ("scaling", "ablation-comm")
-
-
-def _with_options(run: Callable[..., Any], *args: Any) -> Runner:
-    """A runner that hands the run's compiler options to ``run``."""
-    return lambda options, cards, jobs: run(*args, options=options)
-
-
-def _scaling(options: CompilerOptions, cards: int | None, jobs: int) -> Any:
-    counts = tuple(p for p in (1, 2, 4, 8) if cards is None or p <= cards)
-    return run_scaling_study(card_counts=counts, jobs=jobs, options=options)
-
-
-def _comm_ablation(
-    options: CompilerOptions, cards: int | None, jobs: int
-) -> Any:
-    return run_comm_overlap_ablation(
-        num_cards=cards or 8, jobs=jobs, options=options
-    )
-
-
-EXPERIMENTS: dict[str, tuple[str, Runner]] = {
-    "table1": ("Table 1: operation-engine mapping",
-               _with_options(run_op_mapping)),
-    "table2": ("Table 2: MME vs TPC batched matmul",
-               lambda options, cards, jobs: run_mme_vs_tpc()),
-    "fig4-6": ("Figures 4-6: attention-variant layer profiles",
-               _with_options(run_attention_study)),
-    "fig7": ("Figure 7: activation functions",
-             _with_options(run_activation_study)),
-    "fig8": ("Figure 8: GPT end-to-end training step",
-             _with_options(run_e2e, "gpt")),
-    "fig9": ("Figure 9: BERT end-to-end training step",
-             _with_options(run_e2e, "bert")),
-    "seq-sweep": ("Long-sequence sweep (challenge #3)",
-                  _with_options(run_seq_sweep)),
-    "ablation-reorder": ("A1: issue-order ablation",
-                         _with_options(run_reorder_ablation)),
-    "ablation-fusion": ("A2: elementwise-fusion ablation",
-                        _with_options(run_fusion_ablation)),
-    "ablation-tpc-cores": ("A3: TPC core-count sweep",
-                           _with_options(run_tpc_core_sweep)),
-    "scaling": ("A4: HLS-1 multi-card scaling extension", _scaling),
-    "chunked": ("A5: chunked-attention extension",
-                _with_options(run_chunked_attention_study)),
-    "pipelined": ("A6: pipelined exact-attention extension",
-                  _with_options(run_pipelined_attention_study)),
-    "gaudi2": ("A7: Gaudi2 what-if extension",
-               _with_options(run_generation_comparison)),
-    "energy": ("A8: energy extension", _with_options(run_energy_study)),
-    "decode": ("A9: KV-cached decode extension",
-               _with_options(run_decode_study)),
-    "ablation-passes": ("A10: per-pass toggle ablation",
-                        _with_options(run_pass_toggle_ablation)),
-    "ablation-hbm": ("A11: HBM contention ablation",
-                     _with_options(run_hbm_contention_ablation)),
-    "ablation-comm": ("A12: communication-overlap ablation",
-                      _comm_ablation),
-    "ablation-overlap": ("A13: overlap scheduler ablation",
-                         _with_options(run_overlap_scheduler_ablation)),
-    "ablation-memory": ("A14: memory planning ablation",
-                        _with_options(run_memory_ablation)),
-    "ablation-serving": ("A15: static vs continuous batching",
-                         _with_options(run_serving_ablation)),
-    "ablation-parallel": ("A16: multi-box parallel layouts",
-                          _with_options(run_parallel_study)),
-    "ablation-kernels": ("A17: attention kernel pack",
-                         _with_options(run_kernel_pack_ablation)),
-    "ablation-backends": ("A18: cross-backend comparison (Gaudi vs WSE)",
-                          _with_options(run_backend_ablation)),
+#: the global flags each command outside the experiment table reads;
+#: all but ``study`` (its records' common backends) run on any backend
+_OTHER_COMMANDS: dict[str, tuple[str, ...]] = {
+    "study": ("jobs",), "sweep": ("jobs",), "serve": ("jobs",),
+    "describe": (), "lint-gate": (),
 }
+
+#: a value argparse would take for an option: ``-1e-3``, ``-inf``
+_SIGNED_NUMBER = re.compile(
+    r"-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?|-inf(inity)?|-nan", re.IGNORECASE
+)
+
+
+def _honoured(command: str, include_extensions: bool = True) -> set[str]:
+    """The global flags ``command`` honours, each backend as
+    ``--backend NAME``; the study runs on the backends its records
+    share."""
+    if command in EXPERIMENTS:
+        reads, backends = EXPERIMENTS[command].reads, \
+            EXPERIMENTS[command].backends
+    else:
+        entries = study_entries(include_extensions) \
+            if command == "study" else []
+        reads, backends = _OTHER_COMMANDS[command], [
+            b for b in backend_names()
+            if all(b in e.backends for e in entries)
+        ]
+    return {f"--{f}" for f in reads} | {f"--backend {b}" for b in backends}
+
+
+def _readers(flag: str) -> str:
+    """The commands that honour ``flag``, as text."""
+    names = [c for c in (*EXPERIMENTS, *_OTHER_COMMANDS)
+             if flag in _honoured(c)]
+    return ", ".join(names[:-1]) + " and " + names[-1] \
+        if len(names) > 1 else "".join(names)
 
 
 def _lint_gate(options: CompilerOptions) -> int:
@@ -180,11 +118,11 @@ def _profile_self(
     import cProfile
     import pstats
 
-    title, runner = EXPERIMENTS[scenario]
-    print(f"== profile-self: {title} ==")
+    experiment = EXPERIMENTS[scenario]
+    print(f"== profile-self: {experiment.title} ==")
     profiler = cProfile.Profile()
     profiler.enable()
-    runner(options, cards, jobs)
+    experiment(options, cards, jobs)
     profiler.disable()
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats("cumulative").print_stats(top)
@@ -217,9 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cards", type=int, default=None, metavar="N",
-        help="HLS-1 population for the multi-card experiments "
-             "(power of two <= 8; caps the A4 sweep, sets A12's box; "
-             "every other command refuses it)",
+        help=f"HLS-1 population (power of two <= 8) for "
+             f"{_readers('--cards')}; every other command refuses it",
     )
     parser.add_argument(
         "--bucket-mb", type=float, default=None, metavar="MB",
@@ -267,15 +204,17 @@ def build_parser() -> argparse.ArgumentParser:
              "is given without a value)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="process-pool width for the multi-card simulations "
-             "(A4/A12); results are identical at any width",
+        "--jobs", type=int, default=None, metavar="N",
+        help=f"process-pool width (default 1) for "
+             f"{_readers('--jobs')}; results are identical at any "
+             "width; every other command refuses it",
     )
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="hardware backend every compile targets: 'gaudi' "
-             "(default) or 'wse'; single-card experiments retarget "
-             "wholesale, multi-card ones require gaudi",
+        help="hardware backend every compile targets: gaudi (default) "
+             "for every command, "
+             + "; ".join(f"{b} for {_readers(f'--backend {b}')}"
+                         for b in backend_names() if b != "gaudi"),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -286,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--artifacts",
                        help="directory for report.txt + checks.json")
 
-    for name, (title, _) in EXPERIMENTS.items():
-        sub.add_parser(name, help=title)
+    for experiment in EXPERIMENTS.values():
+        sub.add_parser(experiment.name, help=experiment.title)
 
     sweep = sub.add_parser(
         "sweep",
@@ -394,12 +333,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser().parse_args(_join_signed_numbers(argv))
     try:
         return _run(args)
     except ReproError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+
+
+def _join_signed_numbers(argv: list[str]) -> list[str]:
+    """Read ``--flag -1e-3`` as ``--flag=-1e-3``, so that the value
+    reaches the flag's typed check instead of argparse's option lookup."""
+    joined: list[str] = []
+    for token in argv:
+        if (joined and _SIGNED_NUMBER.fullmatch(token)
+                and re.fullmatch(r"--[^=]+", joined[-1])):
+            joined[-1] += f"={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
+def _refuse_unread_flags(args: argparse.Namespace) -> None:
+    """Refuse, before any compile, a global flag or backend that the
+    command (``profile-self``: its scenario) does not honour."""
+    target = args.scenario if args.command == "profile-self" \
+        else args.command
+    given = [f"--{f}" for f in GLOBAL_FLAGS if getattr(args, f) is not None]
+    if args.backend is not None:
+        given.append(f"--backend {args.backend}")
+    honoured = _honoured(target, not getattr(args, "no_extensions", False))
+    for flag in given:
+        if flag not in honoured:
+            raise ConfigError(
+                f"{flag} only applies to {_readers(flag)}, not {target}"
+            )
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -411,23 +381,16 @@ def _run(args: argparse.Namespace) -> int:
     — so an invocation behaves the same whether or not another ran
     earlier in the same process.
     """
-    if args.cards is not None:
-        if args.cards < 1:
-            raise ConfigError(f"--cards must be >= 1, got {args.cards}")
-        target = args.scenario if args.command == "profile-self" \
-            else args.command
-        if target not in CARDS_COMMANDS:
-            raise ConfigError(
-                f"--cards only applies to {' and '.join(CARDS_COMMANDS)}, "
-                f"not {target}"
-            )
+    for flag in GLOBAL_FLAGS:
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{flag} must be >= 1, got {value}")
+    if args.backend is not None:
+        get_backend(args.backend)  # fail fast on unknown names
+    _refuse_unread_flags(args)
     options = CompilerOptions()
     if args.disable_pass:
         options = disable_passes(options, *args.disable_pass)
-    if args.backend is not None:
-        from .hw.backend import get_backend
-
-        get_backend(args.backend)  # fail fast on unknown names
     budget = args.hbm_budget
     if budget is not None:
         # checked in GiB, as typed: nan and inf have no byte count,
@@ -457,7 +420,7 @@ def _run(args: argparse.Namespace) -> int:
     saved = default_recipe_cache_dir()
     set_default_recipe_cache_dir(args.recipe_cache_dir)
     try:
-        return _dispatch(args, options, args.cards, max(1, args.jobs))
+        return _dispatch(args, options, args.cards, args.jobs or 1)
     finally:
         set_default_recipe_cache_dir(saved)
 
@@ -533,14 +496,8 @@ def _dispatch(
         return _profile_self(args.scenario, args.top, options, cards, jobs)
 
     if args.command == "describe":
-        if args.backend is not None:
-            from .hw.backend import get_backend
-
-            backend = get_backend(args.backend)
-            device = backend.make_device(backend.default_config())
-            print(device.describe())
-        else:
-            print(default_device().describe())
+        backend = get_backend(options.backend)
+        print(backend.make_device(backend.default_config()).describe())
         return 0
 
     if args.command == "study":
@@ -559,10 +516,10 @@ def _dispatch(
             print(f"\nartifacts written to {path.parent}")
         return 0 if report.all_passed else 1
 
-    title, runner = EXPERIMENTS[args.command]
-    result = runner(options, cards, jobs)
+    experiment = EXPERIMENTS[args.command]
+    result = experiment(options, cards, jobs)
     text, checks = result.render(), result.checks()
-    print(f"== {title} ==")
+    print(f"== {experiment.title} ==")
     print(text)
     print()
     for check in checks:

@@ -16,7 +16,6 @@ from .. import ht
 from ..hw.energy import EnergyBreakdown, EnergyConfig, schedule_energy
 from ..models import TransformerLayer, paper_layer_config
 from ..synapse import CompilerOptions, SynapseProfiler
-from ..util.errors import ConfigError
 from ..util.tabulate import render_table
 from .reference import LAYER_STUDY_SHAPES, ShapeCheck, threshold_check
 
@@ -98,16 +97,7 @@ def run_energy_study(
     options: CompilerOptions | None = None,
     energy: EnergyConfig | None = None,
 ) -> EnergyStudyResult:
-    """Profile every variant and attach the energy model.
-
-    The energy model prices Gaudi's MME, TPC and HBM, so a non-Gaudi
-    ``backend`` is refused before any compile.
-    """
-    if options is not None and options.backend != "gaudi":
-        raise ConfigError(
-            f"energy prices Gaudi's MME, TPC and HBM; backend "
-            f"{options.backend!r} has none of them"
-        )
+    """Profile every variant and attach the energy model."""
     shapes = LAYER_STUDY_SHAPES
     result = EnergyStudyResult(list(VARIANTS))
     for variant in VARIANTS:

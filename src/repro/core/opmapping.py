@@ -16,7 +16,6 @@ from .. import ht
 from ..ht import functional as F
 from ..hw.costmodel import EngineKind
 from ..synapse import CompilerOptions, GraphCompiler
-from ..util.errors import ConfigError
 from ..util.tabulate import render_table
 from .reference import TABLE1_ROWS, ShapeCheck
 
@@ -98,17 +97,8 @@ class OpMappingResult:
 
 
 def run_op_mapping(options: CompilerOptions | None = None) -> OpMappingResult:
-    """Run the full Table 1 probe set.
-
-    Table 1 is Gaudi's MME/TPC split, so a non-Gaudi ``backend`` is
-    refused before any compile.
-    """
+    """Run the full Table 1 probe set."""
     options = options or CompilerOptions()
-    if options.backend != "gaudi":
-        raise ConfigError(
-            f"table1 maps ops to Gaudi's engines; backend "
-            f"{options.backend!r} has no MME/TPC split"
-        )
     rows = [
         OpMappingRow(torch_name, op_name, _probe(op_name, options), expected)
         for torch_name, op_name, expected in TABLE1_ROWS

@@ -41,7 +41,6 @@ from ..synapse import (
     lint_graph,
 )
 from ..synapse.trace import _merge_intervals, _overlap_us
-from ..util.errors import ConfigError
 from ..util.tabulate import render_table
 from .reference import ShapeCheck, threshold_check
 
@@ -220,17 +219,9 @@ def run_overlap_scheduler_ablation(
     The grid — layer workloads crossed with :data:`CONFIGS` — is a
     ``profile``-executor :class:`~repro.core.sweep.SweepSpec`; each
     point's rich :class:`~repro.synapse.ProfileResult` lands in
-    ``profiles`` keyed exactly as before. The study measures MME idle
-    time behind TPC work, so a non-Gaudi ``backend`` is refused before
-    any compile.
+    ``profiles`` keyed exactly as before.
     """
     from .sweep import SweepSpec, run_sweep
-
-    if options is not None and options.backend != "gaudi":
-        raise ConfigError(
-            f"ablation-overlap measures MME idle time behind TPC work; "
-            f"backend {options.backend!r} has neither engine"
-        )
 
     spec = SweepSpec(
         name="a13-overlap-scheduler",

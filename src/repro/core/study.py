@@ -1,21 +1,27 @@
 """The full benchmarking study: every table, figure and extension.
 
-``run_full_study()`` reproduces the paper end to end and returns a
-:class:`StudyReport` whose ``render()`` is the EXPERIMENTS.md payload:
-per-experiment measurements, the paper's reference values, and the
-pass/miss state of every qualitative shape check.
+:data:`EXPERIMENTS` is the one place that says what an experiment is:
+one frozen :class:`Experiment` record each, which the CLI and the
+study both read. ``run_full_study()`` runs the study's records in
+table order and returns a :class:`StudyReport` whose ``render()`` is
+the EXPERIMENTS.md payload: per-experiment measurements, the paper's
+reference values, and the pass/miss state of every shape check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable
 
 from ..synapse import CompilerOptions, recipe_cache_stats
+from ..util.errors import ConfigError
 from .ablations import (
     run_chunked_attention_study,
-    run_hbm_contention_ablation,
-    run_pipelined_attention_study,
     run_fusion_ablation,
+    run_hbm_contention_ablation,
+    run_pass_toggle_ablation,
+    run_pipelined_attention_study,
     run_reorder_ablation,
     run_tpc_core_sweep,
 )
@@ -37,6 +43,130 @@ from .scaling_study import run_comm_overlap_ablation, run_scaling_study
 from .seq_sweep import run_seq_sweep
 from .serving import run_serving_ablation
 
+#: the global flags a record may read beside the compiler options
+GLOBAL_FLAGS = ("cards", "jobs")
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: what it is, how it runs and what it honours.
+
+    ``run`` receives ``options=`` and, as keywords, exactly the global
+    flags in ``reads``, so a runner cannot see a flag its record does
+    not declare. A record lists a backend other than ``gaudi`` only
+    where its result depends on the device and its checks are not
+    calibrated to Gaudi's MME/TPC split. The CLI refuses, before any
+    compile, a flag or backend the record does not list.
+    """
+
+    name: str
+    title: str
+    run: Callable[..., Any]
+    reads: tuple[str, ...] = ()
+    backends: tuple[str, ...] = ("gaudi",)
+    in_study: bool = True
+    extension: bool = True
+
+    def __post_init__(self) -> None:
+        if not set(self.reads) <= set(GLOBAL_FLAGS):
+            raise ConfigError(
+                f"experiment {self.name!r} reads unknown global flag(s) "
+                f"{self.reads}; choose from {GLOBAL_FLAGS}"
+            )
+
+    def __call__(
+        self, options: CompilerOptions | None, cards: int | None = None,
+        jobs: int = 1,
+    ) -> Any:
+        """Run the experiment; the result has ``render()`` and ``checks()``."""
+        backend = (options or CompilerOptions()).backend
+        if backend not in self.backends:
+            raise ConfigError(
+                f"{self.name} runs on {', '.join(self.backends)}, not "
+                f"backend {backend!r}"
+            )
+        given = {"cards": cards, "jobs": jobs}
+        return self.run(
+            options=options, **{flag: given[flag] for flag in self.reads}
+        )
+
+
+def _scaling(
+    *, options: CompilerOptions | None, cards: int | None, jobs: int
+) -> Any:
+    counts = tuple(p for p in (1, 2, 4, 8) if cards is None or p <= cards)
+    return run_scaling_study(card_counts=counts, jobs=jobs, options=options)
+
+
+def _comm_ablation(
+    *, options: CompilerOptions | None, cards: int | None, jobs: int
+) -> Any:
+    return run_comm_overlap_ablation(
+        num_cards=cards or 8, jobs=jobs, options=options
+    )
+
+
+#: every experiment by command name, in the study's order
+EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
+    Experiment("table1", "Table 1: operation-engine mapping",
+               run_op_mapping, extension=False),
+    Experiment("table2", "Table 2: MME vs TPC batched matmul",
+               lambda options: run_mme_vs_tpc(), extension=False),
+    Experiment("fig4-6", "Figures 4-6: attention-variant layer profiles",
+               run_attention_study, extension=False),
+    Experiment("fig7", "Figure 7: activation functions",
+               run_activation_study, extension=False),
+    Experiment("seq-sweep", "Long-sequence sweep (challenge #3)",
+               run_seq_sweep, extension=False),
+    Experiment("fig8", "Figure 8: GPT end-to-end training step",
+               partial(run_e2e, "gpt"), extension=False),
+    Experiment("fig9", "Figure 9: BERT end-to-end training step",
+               partial(run_e2e, "bert"), extension=False),
+    Experiment("ablation-reorder", "A1: issue-order ablation",
+               run_reorder_ablation, backends=("gaudi", "wse")),
+    Experiment("ablation-fusion", "A2: elementwise-fusion ablation",
+               run_fusion_ablation, backends=("gaudi", "wse")),
+    Experiment("ablation-tpc-cores", "A3: TPC core-count sweep",
+               run_tpc_core_sweep),
+    Experiment("scaling", "A4: HLS-1 multi-card scaling extension",
+               _scaling, reads=("cards", "jobs")),
+    Experiment("chunked", "A5: chunked-attention extension",
+               run_chunked_attention_study, backends=("gaudi", "wse")),
+    Experiment("pipelined", "A6: pipelined exact-attention extension",
+               run_pipelined_attention_study),
+    Experiment("gaudi2", "A7: Gaudi2 what-if extension",
+               run_generation_comparison),
+    Experiment("energy", "A8: energy extension", run_energy_study),
+    Experiment("decode", "A9: KV-cached decode extension",
+               run_decode_study),
+    Experiment("ablation-passes", "A10: per-pass toggle ablation",
+               run_pass_toggle_ablation, in_study=False),
+    Experiment("ablation-hbm", "A11: HBM contention ablation",
+               run_hbm_contention_ablation),
+    Experiment("ablation-comm", "A12: communication-overlap ablation",
+               _comm_ablation, reads=("cards", "jobs")),
+    Experiment("ablation-overlap", "A13: overlap scheduler ablation",
+               run_overlap_scheduler_ablation),
+    Experiment("ablation-memory", "A14: memory planning ablation",
+               run_memory_ablation),
+    Experiment("ablation-serving", "A15: static vs continuous batching",
+               run_serving_ablation, backends=("gaudi", "wse")),
+    Experiment("ablation-parallel", "A16: multi-box parallel layouts",
+               run_parallel_study),
+    Experiment("ablation-kernels", "A17: attention kernel pack",
+               run_kernel_pack_ablation),
+    Experiment("ablation-backends",
+               "A18: cross-backend comparison (Gaudi vs WSE)",
+               run_backend_ablation),
+)}
+
+
+def study_entries(include_extensions: bool = True) -> list[Experiment]:
+    """The records the full study runs, in table order."""
+    return [
+        e for e in EXPERIMENTS.values()
+        if e.in_study and (include_extensions or not e.extension)
+    ]
 
 @dataclass
 class StudyReport:
@@ -86,7 +216,7 @@ def run_full_study(
     include_extensions: bool = True,
     jobs: int = 1,
 ) -> StudyReport:
-    """Run every experiment in DESIGN.md's index.
+    """Run the experiment table's study records, in table order.
 
     ``jobs > 1`` parallelizes the multi-card simulations (A4/A12)
     across a process pool; every measurement is identical to the
@@ -95,90 +225,9 @@ def run_full_study(
     """
     before = recipe_cache_stats()
     report = StudyReport()
-
-    t1 = run_op_mapping(options)
-    report.add("Table 1: operation-engine mapping", t1.render(), t1.checks())
-
-    t2 = run_mme_vs_tpc()
-    report.add("Table 2: MME vs TPC batched matmul", t2.render(), t2.checks())
-
-    attn = run_attention_study(options)
-    report.add("Figures 4-6: attention variants", attn.render(), attn.checks())
-
-    act = run_activation_study(options)
-    report.add("Figure 7: activation functions", act.render(), act.checks())
-
-    sweep = run_seq_sweep(options=options)
-    report.add("Long-sequence sweep (challenge #3)", sweep.render(),
-               sweep.checks())
-
-    for model in ("gpt", "bert"):
-        e2e = run_e2e(model, options=options)
-        fig = "Figure 8: GPT end-to-end" if model == "gpt" else \
-            "Figure 9: BERT end-to-end"
-        report.add(fig, e2e.render(), e2e.checks())
-
-    if include_extensions:
-        a1 = run_reorder_ablation("performer", options=options)
-        report.add("A1: issue-order ablation", a1.render(), a1.checks())
-
-        a2 = run_fusion_ablation("softmax", options=options)
-        report.add("A2: fusion ablation", a2.render(), a2.checks())
-
-        a3 = run_tpc_core_sweep(options=options)
-        report.add("A3: TPC core sweep", a3.render(), a3.checks())
-
-        a4 = run_scaling_study("gpt", options=options, jobs=jobs)
-        report.add("A4: HLS-1 scaling extension", a4.render(), a4.checks())
-
-        a5 = run_chunked_attention_study(options=options)
-        report.add("A5: chunked attention extension", a5.render(), a5.checks())
-
-        a6 = run_pipelined_attention_study(options=options)
-        report.add("A6: pipelined exact attention extension", a6.render(),
-                   a6.checks())
-
-        a7 = run_generation_comparison(options)
-        report.add("A7: Gaudi2 what-if extension", a7.render(), a7.checks())
-
-        a8 = run_energy_study(options)
-        report.add("A8: energy extension", a8.render(), a8.checks())
-
-        a9 = run_decode_study(options=options)
-        report.add("A9: KV-cached decode extension", a9.render(),
-                   a9.checks())
-
-        a11 = run_hbm_contention_ablation(options=options)
-        report.add("A11: HBM contention ablation", a11.render(),
-                   a11.checks())
-
-        a12 = run_comm_overlap_ablation("gpt", options=options, jobs=jobs)
-        report.add("A12: comm-overlap ablation", a12.render(),
-                   a12.checks())
-
-        a13 = run_overlap_scheduler_ablation(options)
-        report.add("A13: overlap scheduler ablation", a13.render(),
-                   a13.checks())
-
-        a14 = run_memory_ablation(options)
-        report.add("A14: memory planning ablation", a14.render(),
-                   a14.checks())
-
-        a15 = run_serving_ablation(options)
-        report.add("A15: static vs continuous batching", a15.render(),
-                   a15.checks())
-
-        a16 = run_parallel_study(options=options)
-        report.add("A16: multi-box parallel layouts", a16.render(),
-                   a16.checks())
-
-        a17 = run_kernel_pack_ablation(options)
-        report.add("A17: attention kernel pack", a17.render(),
-                   a17.checks())
-
-        a18 = run_backend_ablation(options)
-        report.add("A18: cross-backend comparison", a18.render(),
-                   a18.checks())
+    for entry in study_entries(include_extensions):
+        result = entry(options, None, jobs)
+        report.add(entry.title, result.render(), result.checks())
 
     cache = {k: v - before[k] for k, v in recipe_cache_stats().items()}
     report.sections.append((

@@ -113,7 +113,8 @@ class CompilerOptions:
     #: elision, fusion grouping, recompile marks, DMA staging) and
     #: re-run only shape-dependent stages. Replayed compiles are
     #: byte-identical to cold ones; per-pass hit/miss lands in
-    #: ``Schedule.stats["passes"]`` (``--no-incremental``)
+    #: ``Schedule.stats["passes"]`` (no CLI flag; library callers pass
+    #: ``incremental=False``)
     incremental: bool = True
     #: bucket marked parameter gradients into all-reduce NIC ops (the
     #: multi-card DDP path; harmless but off by default for single-card

@@ -8,10 +8,15 @@ import sys
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
-from repro.synapse import CompilerOptions
+from repro.core import Experiment, run_full_study, study_entries
+from repro.hw.backend import backend_names
+from repro.synapse import CompilerOptions, GraphCompiler
 from repro.util.errors import ConfigError
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+#: the commands that take ``--backend wse``
+WSE_READERS = ("ablation-reorder, ablation-fusion, chunked, ablation-serving, "
+               "sweep, serve, describe and lint-gate")
 
 
 def _alone(argv):
@@ -113,13 +118,14 @@ class TestMain:
         assert "| default | 64.04 " in capsys.readouterr().out
 
     @pytest.mark.parametrize("experiment", [
-        "ablation-fusion", "ablation-reorder", "ablation-memory",
+        e.name for e in EXPERIMENTS.values() if "wse" in e.backends
     ])
     def test_backend_flag_reaches(self, capsys, experiment):
-        """Experiments that build their own options keep ``--backend``."""
-        main([experiment])
+        """Experiments that run on WSE, several of which build their own
+        options, keep ``--backend``."""
+        assert main([experiment]) == 0
         default = capsys.readouterr().out
-        main(["--backend", "wse", experiment])
+        assert main(["--backend", "wse", experiment]) == 0
         assert capsys.readouterr().out != default
 
     def test_infeasible_layout_grid_is_a_typed_error(self, capsys):
@@ -153,16 +159,35 @@ class TestTypedErrors:
          "--cards only applies to scaling and ablation-comm, not fig8"),
         (["--cards", "2", "study"],
          "--cards only applies to scaling and ablation-comm, not study"),
-        (["--backend", "wse", "table1"], "table1 maps ops to Gaudi's"),
+        (["--backend", "wse", "table1"],
+         f"--backend wse only applies to {WSE_READERS}, not table1"),
         (["--backend", "wse", "ablation-overlap"],
-         "ablation-overlap measures MME idle time"),
-        (["--backend", "wse", "energy"], "energy prices Gaudi's"),
+         f"--backend wse only applies to {WSE_READERS}, not ablation-overlap"),
+        (["--backend", "wse", "energy"],
+         f"--backend wse only applies to {WSE_READERS}, not energy"),
         *(
             ([f"--hbm-budget={typed}", "fig8"],
              "--hbm-budget must be a finite number of GiB of at least one "
              f"byte, got {typed}")
             for typed in ("nan", "inf", "-inf", "1e-10", "-1", "0")
         ),
+        # a signed value that argparse would take for an option
+        *(
+            (["--hbm-budget", typed, "fig8"],
+             "--hbm-budget must be a finite number of GiB of at least one "
+             f"byte, got {shown}")
+            for typed, shown in (("-inf", "-inf"), ("-1e-3", "-0.001"))
+        ),
+        (["--bucket-mb", "-1e-3", "fig8"], "bucket_mb must be > 0"),
+        (["--jobs", "0", "fig8"], "--jobs must be >= 1, got 0"),
+        (["--jobs", "-1", "fig8"], "--jobs must be >= 1, got -1"),
+        (["--jobs", "2", "fig8"],
+         "--jobs only applies to scaling, ablation-comm, study, sweep and "
+         "serve, not fig8"),
+        (["--backend", "wse", "study"],
+         f"--backend wse only applies to {WSE_READERS}, not study"),
+        (["--backend", "wse", "profile-self", "scaling"],
+         f"--backend wse only applies to {WSE_READERS}, not scaling"),
     ])
     def test_bad_flags_exit_2(self, capsys, argv, message):
         assert main(argv) == 2
@@ -193,6 +218,59 @@ class TestTypedErrors:
             tp=1, pp=1, microbatches=1, attention_window=1,
         )
         assert opts.recompile_penalty_us == 0.0
+
+
+class TestExperimentTable:
+    """Every record x cross-cutting flag either runs on its own checks
+    or is refused up front: exit 2, one ``error:`` line, no runner
+    call and no compile."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("backend", "wse"), ("cards", "2"), ("jobs", "2"),
+    ])
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_walk(self, name, flag, value, capsys, monkeypatch):
+        calls = {"run": 0, "compile": 0}
+        run, compile_ = Experiment.__call__, GraphCompiler.compile
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Experiment, "__call__", counted("run", run))
+        monkeypatch.setattr(GraphCompiler, "compile",
+                            counted("compile", compile_))
+        record = EXPERIMENTS[name]
+        honoured = value in record.backends if flag == "backend" \
+            else flag in record.reads
+        code = main([f"--{flag}", value, name])
+        err = capsys.readouterr().err
+        if honoured:
+            assert code in (0, 1) and calls["run"] == 1
+        else:
+            assert code == 2 and calls == {"run": 0, "compile": 0}
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"--{flag}" in err and name in err
+
+    def test_study_sections_follow_the_table(self, full_study):
+        titles = [title for title, _ in full_study[0].sections]
+        assert titles == [e.title for e in study_entries()] + ["recipe cache"]
+
+    def test_library_call_refuses_an_unlisted_backend(self, monkeypatch):
+        monkeypatch.setattr(GraphCompiler, "compile", None)
+        with pytest.raises(ConfigError, match="table1 runs on gaudi, not"):
+            run_full_study(CompilerOptions(backend="wse"))
+        with pytest.raises(ConfigError, match="energy runs on gaudi, not"):
+            EXPERIMENTS["energy"](CompilerOptions(backend="wse"))
+
+    def test_records_name_known_flags_and_backends(self):
+        with pytest.raises(ConfigError, match="unknown global flag"):
+            Experiment("x", "X", lambda options: None, reads=("boxes",))
+        for record in EXPERIMENTS.values():
+            assert record.backends and "gaudi" in record.backends
+            assert set(record.backends) <= set(backend_names())
 
 
 class TestReentrancy:
