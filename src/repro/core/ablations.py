@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from ..hw.backend import get_backend
 from ..hw.config import GaudiConfig
 from ..hw.costmodel import EngineKind
 from ..synapse import CompilerOptions, ProfileResult
@@ -39,6 +40,8 @@ class ReorderAblationResult:
     kind: str
     in_order: ProfileResult
     reordered: ProfileResult
+    #: the backend's matmul engine, whose idle share the table reports
+    engine: EngineKind = EngineKind.MME
 
     @property
     def improvement(self) -> float:
@@ -62,12 +65,12 @@ class ReorderAblationResult:
     def render(self) -> str:
         """Comparison summary."""
         return render_table(
-            ["issue mode", "total (ms)", "MME idle"],
+            ["issue mode", "total (ms)", f"{self.engine.value} idle"],
             [
                 ("in-order", self.in_order.total_time_ms,
-                 f"{self.in_order.mme_idle_fraction:.1%}"),
+                 f"{self.in_order.idle_fraction(self.engine):.1%}"),
                 ("reordered", self.reordered.total_time_ms,
-                 f"{self.reordered.mme_idle_fraction:.1%}"),
+                 f"{self.reordered.idle_fraction(self.engine):.1%}"),
             ],
             title=f"A1: issue-order ablation ({self.kind} attention)",
         )
@@ -83,7 +86,8 @@ def run_reorder_ablation(
         return profile_layer(kind, options=replace(base, scheduler=scheduler))
 
     return ReorderAblationResult(
-        kind=kind, in_order=profile("inorder"), reordered=profile("lookahead")
+        kind=kind, in_order=profile("inorder"), reordered=profile("lookahead"),
+        engine=get_backend(base.backend).matmul_engine,
     )
 
 

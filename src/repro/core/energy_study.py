@@ -17,6 +17,7 @@ from ..hw.energy import EnergyBreakdown, EnergyConfig, schedule_energy
 from ..models import TransformerLayer, paper_layer_config
 from ..synapse import CompilerOptions, SynapseProfiler
 from ..util.tabulate import render_table
+from ..util.validation import check_backend
 from .reference import LAYER_STUDY_SHAPES, ShapeCheck, threshold_check
 
 VARIANTS = ("softmax", "linear", "performer", "pipelined")
@@ -97,7 +98,9 @@ def run_energy_study(
     options: CompilerOptions | None = None,
     energy: EnergyConfig | None = None,
 ) -> EnergyStudyResult:
-    """Profile every variant and attach the energy model."""
+    """Profile every variant and attach the (MME/TPC) energy model."""
+    options = options or CompilerOptions()
+    check_backend("the energy study", options.backend, ("gaudi",))
     shapes = LAYER_STUDY_SHAPES
     result = EnergyStudyResult(list(VARIANTS))
     for variant in VARIANTS:

@@ -17,6 +17,7 @@ from ..ht import functional as F
 from ..hw.costmodel import EngineKind
 from ..synapse import CompilerOptions, GraphCompiler
 from ..util.tabulate import render_table
+from ..util.validation import check_backend
 from .reference import TABLE1_ROWS, ShapeCheck
 
 
@@ -97,8 +98,9 @@ class OpMappingResult:
 
 
 def run_op_mapping(options: CompilerOptions | None = None) -> OpMappingResult:
-    """Run the full Table 1 probe set."""
+    """Run the full Table 1 probe set (Gaudi's MME/TPC split)."""
     options = options or CompilerOptions()
+    check_backend("the Table 1 op mapping", options.backend, ("gaudi",))
     rows = [
         OpMappingRow(torch_name, op_name, _probe(op_name, options), expected)
         for torch_name, op_name, expected in TABLE1_ROWS

@@ -16,6 +16,7 @@ from typing import Any, Callable
 
 from ..synapse import CompilerOptions, recipe_cache_stats
 from ..util.errors import ConfigError
+from ..util.validation import check_backend
 from .ablations import (
     run_chunked_attention_study,
     run_fusion_ablation,
@@ -79,12 +80,9 @@ class Experiment:
         jobs: int = 1,
     ) -> Any:
         """Run the experiment; the result has ``render()`` and ``checks()``."""
-        backend = (options or CompilerOptions()).backend
-        if backend not in self.backends:
-            raise ConfigError(
-                f"{self.name} runs on {', '.join(self.backends)}, not "
-                f"backend {backend!r}"
-            )
+        check_backend(
+            self.name, (options or CompilerOptions()).backend, self.backends
+        )
         given = {"cards": cards, "jobs": jobs}
         return self.run(
             options=options, **{flag: given[flag] for flag in self.reads}

@@ -10,7 +10,6 @@ nodes carry ``src = "<op>_bwd"`` so trace attribution can separate, say,
 
 from __future__ import annotations
 
-import contextlib
 from typing import Callable
 
 from ..util.errors import AutogradError
@@ -432,16 +431,6 @@ def _gather_rows_vjp(entry, grad):
 # -- the driver -----------------------------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _src_override(rec: "_rec.Recorder", src: str):
-    prev = rec.src_override
-    rec.src_override = src
-    try:
-        yield
-    finally:
-        rec.src_override = prev
-
-
 def backward(loss: Tensor) -> None:
     """Reverse-mode differentiation from scalar ``loss``.
 
@@ -458,19 +447,23 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         raise AutogradError("loss does not require grad — nothing to do")
     grads: dict[int, Tensor] = {}
+    outer_src = rec.src_override
     with rec.scope("bwd"):
         grads[loss.vid] = F.ones_like(loss)
-        for entry in reversed(rec.tape):
-            grad_out = grads.get(entry.output.vid)
-            if grad_out is None:
-                continue
-            try:
-                fn = VJP[entry.op]
-            except KeyError:
-                raise AutogradError(
-                    f"op {entry.op!r} has no registered VJP"
-                ) from None
-            with _src_override(rec, f"{entry.op}_bwd"):
+        try:
+            for entry in reversed(rec.tape):
+                grad_out = grads.get(entry.output.vid)
+                if grad_out is None:
+                    continue
+                try:
+                    fn = VJP[entry.op]
+                except KeyError:
+                    raise AutogradError(
+                        f"op {entry.op!r} has no registered VJP"
+                    ) from None
+                # the entry's gradient ops, accumulation adds included,
+                # are attributed to "<op>_bwd"
+                rec.src_override = f"{entry.op}_bwd"
                 input_grads = fn(entry, grad_out)
                 if len(input_grads) != len(entry.inputs):
                     raise AutogradError(
@@ -487,3 +480,5 @@ def backward(loss: Tensor) -> None:
                     tensor.grad = grads[tensor.vid]
                     if tensor.param is not None:
                         tensor.param.grad = grads[tensor.vid]
+        finally:
+            rec.src_override = outer_src

@@ -44,7 +44,7 @@ def apply_op(
         out_value,
         attrs=attrs,
         src=rec.src_override or "",
-        scope=rec.scope_name(),
+        scope=rec.scope_path,
     )
     data = None
     if rec.concrete:

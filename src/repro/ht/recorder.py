@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _MODES = ("concrete", "symbolic")
 
 
-@dataclass
+@dataclass(slots=True)
 class TapeEntry:
     """One recorded differentiable op, for reverse-mode autograd."""
 
@@ -54,6 +54,9 @@ class Recorder:
         self.mode = mode
         self.tape: list[TapeEntry] = []
         self._scopes: list[str] = []
+        #: the dotted scope stamped on emitted nodes, e.g.
+        #: "encoder0.attn" (kept joined: every op reads it)
+        self.scope_path = ""
         self._param_values: dict[int, TensorValue] = {}
         #: src override applied to emitted nodes (used by autograd to
         #: attribute backward ops, e.g. "softmax_bwd")
@@ -64,18 +67,16 @@ class Recorder:
         """Whether ops compute numpy values."""
         return self.mode == "concrete"
 
-    def scope_name(self) -> str:
-        """Current dotted scope string."""
-        return ".".join(self._scopes)
-
     @contextlib.contextmanager
     def scope(self, name: str):
         """Push a scope segment for emitted nodes."""
         self._scopes.append(name)
+        self.scope_path = ".".join(self._scopes)
         try:
             yield self
         finally:
             self._scopes.pop()
+            self.scope_path = ".".join(self._scopes)
 
     def value_for_param(self, param: "Parameter") -> TensorValue:
         """The graph value backing ``param`` (registered on first use)."""

@@ -22,9 +22,9 @@ from ..util.validation import check_shape
 Shape = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TensorValue:
-    """A symbolic tensor in the graph."""
+    """A symbolic tensor in the graph (treated as immutable once added)."""
 
     vid: int
     shape: Shape
@@ -48,7 +48,7 @@ class TensorValue:
         return self.numel * itemsize(self.dtype)
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     """One op in program order. Single output, n inputs."""
 
@@ -78,14 +78,15 @@ class Graph:
         self.nodes: list[Node] = []
         self._next_vid = 0
         self._next_nid = 0
-        #: value ids some node already produces (O(1) SSA checking)
-        self._produced: set[int] = set()
         #: structured side-channel annotations that survive compilation,
         #: e.g. ``metadata["gradients"]``: ordered (vid, param_name)
         #: pairs the optimizer marked for data-parallel all-reduce.
         self.metadata: dict = {}
 
     # -- construction ----------------------------------------------------
+    #
+    # Appends only: the shape and SSA checks run once, in
+    # :meth:`validate`, when the graph reaches the compiler.
 
     def add_value(
         self,
@@ -96,10 +97,9 @@ class Graph:
         kind: str = "activation",
     ) -> TensorValue:
         """Create a new value (graph input if no node produces it)."""
-        shape = check_shape(name or "value", shape)
         if kind not in ("activation", "input", "param", "const"):
             raise GraphError(f"unknown value kind {kind!r}")
-        value = TensorValue(self._next_vid, shape, dtype, name=name, kind=kind)
+        value = TensorValue(self._next_vid, tuple(shape), dtype, name, kind)
         self.values[value.vid] = value
         self._next_vid += 1
         return value
@@ -114,25 +114,13 @@ class Graph:
         src: str = "",
         scope: str = "",
     ) -> Node:
-        """Append an op; inputs must be existing value ids."""
-        inputs = tuple(inputs)
-        for vid in inputs:
-            if vid not in self.values:
-                raise GraphError(f"node {op!r} consumes unknown value {vid}")
-        if output.vid not in self.values:
-            raise GraphError(f"node {op!r} produces unregistered value")
-        if output.vid in self._produced:
-            raise GraphError(
-                f"value {output.vid} already has a producer (single "
-                f"static assignment violated by {op!r})"
-            )
+        """Append an op; ``attrs`` is stored as given, not copied."""
         node = Node(
-            self._next_nid, op, inputs, output.vid,
-            attrs=dict(attrs or {}), src=src or op, scope=scope,
+            self._next_nid, op, tuple(inputs), output.vid,
+            {} if attrs is None else attrs, src or op, scope,
         )
         self._next_nid += 1
         self.nodes.append(node)
-        self._produced.add(output.vid)
         return node
 
     def mark_gradient(self, vid: int, param_name: str = "") -> None:
@@ -212,10 +200,6 @@ class Graph:
                 return node
         return None
 
-    def producers(self) -> dict[int, Node]:
-        """Map of value id -> producing node for all produced values."""
-        return {node.output: node for node in self.nodes}
-
     def consumers(self) -> dict[int, list[Node]]:
         """Map of value id -> consuming nodes (program order)."""
         out: dict[int, list[Node]] = {vid: [] for vid in self.values}
@@ -233,27 +217,43 @@ class Graph:
         """Graph inputs marked as parameters."""
         return [v for v in self.graph_inputs() if v.kind == "param"]
 
-    def total_flops_hint(self) -> int:
-        """Number of nodes (quick size probe for logs)."""
-        return len(self.nodes)
+    def check_shapes(self) -> None:
+        """Rank <= 5 and non-negative int dims on every value: the
+        :func:`~repro.util.validation.check_shape` error of the first
+        bad value."""
+        for v in self.values.values():
+            if len(v.shape) > 5:
+                check_shape(v.name or "value", v.shape)
+            for dim in v.shape:  # a loop: twice as fast as any()
+                if type(dim) is not int or dim < 0:
+                    check_shape(v.name or "value", v.shape)
 
     def validate(self) -> None:
-        """Check SSA + program-order (topological) invariants."""
+        """The one check of a built graph (construction only appends):
+        shapes, then SSA and program order, as typed errors."""
+        self.check_shapes()
+        values = self.values
+        ready = {vid for vid, v in values.items() if v.kind != "activation"}
         produced: set[int] = set()
         for node in self.nodes:
             for vid in node.inputs:
-                if vid not in self.values:
-                    raise GraphError(f"node {node.nid} reads unknown value {vid}")
-                producer_seen = vid in produced
-                is_graph_input = self.values[vid].kind in ("input", "param", "const")
-                if not producer_seen and not is_graph_input:
+                if vid not in ready:
                     raise GraphError(
+                        f"node {node.nid} ({node.op!r}) consumes unknown "
+                        f"value {vid}" if vid not in values else
                         f"node {node.nid} ({node.op}) reads value {vid} "
                         "before it is produced — graph is not in program order"
                     )
-            if node.output in produced:
-                raise GraphError(f"value {node.output} produced twice")
-            produced.add(node.output)
+            out = node.output
+            if out in produced or out not in values:
+                raise GraphError(
+                    f"node {node.nid} ({node.op!r}) produces unregistered "
+                    f"value {out}" if out not in values else
+                    f"value {out} already has a producer (single static "
+                    f"assignment violated by {node.op!r})"
+                )
+            produced.add(out)
+            ready.add(out)
 
     def __len__(self) -> int:
         return len(self.nodes)

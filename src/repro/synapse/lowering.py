@@ -27,14 +27,18 @@ class _Rewriter:
         self.old = old
         self.new = Graph(old.name)
         self.vmap: dict[int, int] = {}
+        #: old vid -> the new-graph vids its expansion created
+        self.expanded: dict[int, range] = {}
 
     def map_value(self, old_vid: int) -> TensorValue:
         """New-graph value corresponding to ``old_vid`` (copied lazily)."""
-        if old_vid not in self.vmap:
-            v = self.old.value(old_vid)
-            nv = self.new.add_value(v.shape, v.dtype, name=v.name, kind=v.kind)
-            self.vmap[old_vid] = nv.vid
-        return self.new.value(self.vmap[old_vid])
+        new_vid = self.vmap.get(old_vid)
+        if new_vid is not None:
+            return self.new.values[new_vid]
+        v = self.old.value(old_vid)
+        nv = self.new.add_value(v.shape, v.dtype, name=v.name, kind=v.kind)
+        self.vmap[old_vid] = nv.vid
+        return nv
 
     def emit(
         self,
@@ -58,13 +62,38 @@ class _Rewriter:
         return out
 
     def copy_node(self, node: Node) -> None:
-        """Copy a primitive node verbatim (ids remapped)."""
-        inputs = [self.map_value(vid) for vid in node.inputs]
-        out = self.map_value(node.output)
+        """Copy a primitive node verbatim (ids remapped, attrs shared)."""
+        inputs = [self.map_value(vid).vid for vid in node.inputs]
         self.new.add_node(
-            node.op, [v.vid for v in inputs], out,
+            node.op, inputs, self.map_value(node.output),
             attrs=node.attrs, src=node.src, scope=node.scope,
         )
+
+    def finish(self) -> Graph:
+        """Carry the old graph's marks over; validate and return the new.
+
+        Marks follow the vid remap, so a gradient mark or checkpoint
+        boundary on a value the rewrite dropped goes with it. A
+        droppable value's expansion is droppable too: recomputing the
+        segment re-runs the whole expansion anyway.
+        """
+        old, new, vmap = self.old, self.new, self.vmap
+        grads = [(vmap[v], name) for v, name in old.gradients() if v in vmap]
+        if grads:
+            new.metadata["gradients"] = grads
+        for label, inputs, outputs, droppable in old.checkpoints():
+            drops = {vmap[v] for v in droppable if v in vmap}
+            for v in droppable:
+                drops.update(
+                    n for n in self.expanded.get(v, ())
+                    if new.values[n].kind == "activation"
+                )
+            new.mark_checkpoint(
+                label, [vmap[v] for v in inputs if v in vmap],
+                [vmap[v] for v in outputs if v in vmap], sorted(drops),
+            )
+        new.validate()
+        return new
 
 
 LoweringFn = Callable[[_Rewriter, Node], TensorValue]
@@ -104,12 +133,12 @@ LOWERINGS: dict[str, LoweringFn] = {
 
 
 def lower_graph(graph: Graph) -> Graph:
-    """Return a new graph with every composite op expanded."""
-    graph.validate()
+    """Return a new graph with every composite op expanded.
+
+    ``graph`` is taken as valid (the ``validate`` pass checked it); the
+    rewrite is checked once, as a whole, before it is returned.
+    """
     rw = _Rewriter(graph)
-    #: composite output vid -> the new-graph vid range its lowering
-    #: created (checkpoint droppable sets extend over the expansion)
-    lowered_ranges: dict[int, tuple[int, int]] = {}
     for node in graph.nodes:
         opdef = op(node.op)
         if not opdef.composite:
@@ -132,32 +161,5 @@ def lower_graph(graph: Graph) -> Graph:
         # Downstream consumers of the composite's output now read the
         # lowered result.
         rw.vmap[node.output] = out.vid
-        lowered_ranges[node.output] = (range_start, rw.new._next_vid)
-    # Gradient marks survive the rewrite (remapped to the new ids);
-    # a marked value that lowering dropped entirely has no producer
-    # and nothing to all-reduce.
-    for vid, param_name in graph.gradients():
-        new_vid = rw.vmap.get(vid)
-        if new_vid is not None:
-            rw.new.mark_gradient(new_vid, param_name)
-    # Checkpoint segments survive too; a droppable composite's lowered
-    # intermediates are all droppable (recomputing the segment re-runs
-    # the whole expansion anyway).
-    for label, inputs, outputs, droppable in graph.checkpoints():
-        new_inputs = [rw.vmap[v] for v in inputs if v in rw.vmap]
-        new_outputs = [rw.vmap[v] for v in outputs if v in rw.vmap]
-        new_droppable: list[int] = []
-        for vid in droppable:
-            new_vid = rw.vmap.get(vid)
-            if new_vid is not None:
-                new_droppable.append(new_vid)
-            lo, hi = lowered_ranges.get(vid, (0, 0))
-            new_droppable.extend(
-                v for v in range(lo, hi)
-                if rw.new.values[v].kind == "activation" and v != new_vid
-            )
-        rw.new.mark_checkpoint(
-            label, new_inputs, new_outputs, sorted(set(new_droppable))
-        )
-    rw.new.validate()
-    return rw.new
+        rw.expanded[node.output] = range(range_start, rw.new._next_vid)
+    return rw.finish()

@@ -45,10 +45,19 @@ def _numel(shape: Shape) -> int:
 
 
 def _broadcast(a: Shape, b: Shape) -> Shape:
-    try:
-        return tuple(np.broadcast_shapes(a, b))
-    except ValueError:
-        raise ShapeError(f"shapes {a} and {b} are not broadcastable") from None
+    """``np.broadcast_shapes(a, b)`` for non-negative dims, in Python."""
+    if a == b:
+        return tuple(a)
+    lead = len(a) - len(b)
+    out = list(a[:lead] if lead > 0 else b[:-lead])
+    for x, y in zip(a[max(lead, 0):], b[max(-lead, 0):]):
+        if x == y or y == 1:
+            out.append(x)
+        elif x == 1:
+            out.append(y)
+        else:
+            raise ShapeError(f"shapes {a} and {b} are not broadcastable")
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ class AttentionLoweringPass(CompilerPass):
             out = rw.emit("softmax_norm", [e], attrs={"axis": axis},
                           src=src, scope=scope)
             rw.vmap[node.output] = out.vid
-        self._finish(state, rw)
+        state.graph = rw.finish()
         return {"transforms": len(targets), "mode": "fused"}
 
     def _rewrite_cones(self, state: CompilationState, mode: str,
@@ -229,28 +229,5 @@ class AttentionLoweringPass(CompilerPass):
             out = rw.emit(op_name, [q, k, v], attrs=attrs,
                           src="softmax", scope=node.scope)
             rw.vmap[node.output] = out.vid
-        self._finish(state, rw)
+        state.graph = rw.finish()
         return {"transforms": len(cones), "mode": mode}
-
-    @staticmethod
-    def _finish(state: CompilationState, rw: _Rewriter) -> None:
-        """Carry gradient/checkpoint marks over and install the graph.
-
-        Same survival rules as :func:`repro.synapse.lowering.lower_graph`:
-        marks on values the rewrite dropped (cone interiors, unused mask
-        consts) are filtered out by the vid remap.
-        """
-        graph = state.graph
-        for vid, param_name in graph.gradients():
-            new_vid = rw.vmap.get(vid)
-            if new_vid is not None:
-                rw.new.mark_gradient(new_vid, param_name)
-        for label, inputs, outputs, droppable in graph.checkpoints():
-            rw.new.mark_checkpoint(
-                label,
-                [rw.vmap[v] for v in inputs if v in rw.vmap],
-                [rw.vmap[v] for v in outputs if v in rw.vmap],
-                sorted(rw.vmap[v] for v in droppable if v in rw.vmap),
-            )
-        rw.new.validate()
-        state.graph = rw.new

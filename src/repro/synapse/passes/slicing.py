@@ -335,21 +335,9 @@ def _apply_chains(graph: Graph, chains: list[_Chain]) -> Graph:
         elif node.nid not in members:
             rw.copy_node(node)
         # interior chain members are emitted by their chain's last node
-    for vid, param_name in graph.gradients():
-        new_vid = rw.vmap.get(vid)
-        if new_vid is not None:
-            rw.new.mark_gradient(new_vid, param_name)
-    # Checkpoint segments survive slicing; values a chain rewrite
-    # dissolved (per-slice interiors) simply drop out of the sets.
-    for label, inputs, outputs, droppable in graph.checkpoints():
-        rw.new.mark_checkpoint(
-            label,
-            [rw.vmap[v] for v in inputs if v in rw.vmap],
-            [rw.vmap[v] for v in outputs if v in rw.vmap],
-            [rw.vmap[v] for v in droppable if v in rw.vmap],
-        )
-    rw.new.validate()
-    return rw.new
+    # values a chain rewrite dissolved (per-slice interiors) drop out
+    # of the gradient marks and checkpoint sets
+    return rw.finish()
 
 
 def _emit_chain(

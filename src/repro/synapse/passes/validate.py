@@ -1,9 +1,9 @@
-"""ValidatePass: SSA + program-order invariants before anything runs.
+"""ValidatePass: the graph's one check, before anything runs.
 
 The IR contract (see :meth:`repro.synapse.graph.Graph.validate`) is
-what every later pass assumes: single static assignment and values
-produced before use. Catching violations here gives one clear error
-instead of a corrupted schedule three passes later.
+what every later pass assumes: valid shapes, single static assignment
+and values produced before use. Graph construction only appends, so
+this gives one clear error instead of a corrupted schedule later.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ class ValidatePass(CompilerPass):
 
     name = "validate"
     option_flag = "validate_graph"
-    # SSA + program order read op connectivity and value kinds only —
-    # never a shape — so a batch/seq re-record revalidates for free
+    # SSA + program order read connectivity and value kinds only, so
+    # a batch/seq re-record replays them; ``replay`` checks shapes
     signature_deps = ("structure",)
     incremental = True
 
@@ -32,5 +32,7 @@ class ValidatePass(CompilerPass):
         return {"values": len(state.graph.values)}
 
     def replay(self, state: CompilationState, payload: dict) -> dict:
-        """A structurally identical graph is known-valid: skip the walk."""
+        """A structurally identical graph has valid SSA and order: check
+        only its shapes."""
+        state.graph.check_shapes()
         return dict(payload)

@@ -11,11 +11,14 @@ def gc_paused():
     """Disable the cyclic collector for the ``with`` body.
 
     For bounded calls that allocate many tracked objects but create no
-    reference cycles: reference counting still frees every object, and
-    the collector resumes when the outermost region exits, collecting
-    anything cyclic made inside it then. Re-entrant: a region entered
-    while the collector is already off (a nested region, or a caller
-    that disabled it) leaves it off on exit.
+    reference cycles: reference counting frees every object they drop,
+    so what they leave tracked is alive. The outermost region's exit
+    moves it to the oldest generation unwalked (``gc.freeze()`` then
+    ``gc.unfreeze()``, unless the process froze objects itself), so no
+    young collection runs just to walk it; a cycle made inside waits
+    for the next full collection. Re-entrant: a region entered while
+    the collector is off (a nested region, or a caller that disabled
+    it) leaves it off on exit.
     """
     if not gc.isenabled():
         yield
@@ -24,4 +27,7 @@ def gc_paused():
     try:
         yield
     finally:
+        if gc.get_freeze_count() == 0:
+            gc.freeze()
+            gc.unfreeze()
         gc.enable()

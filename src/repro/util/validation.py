@@ -48,6 +48,15 @@ def check_in(name: str, value: object, allowed: Sequence[object]) -> object:
     return value
 
 
+def check_backend(what: str, backend: str, backends: Sequence[str]) -> str:
+    """Require ``backend`` to be one that ``what`` is calibrated for."""
+    if backend not in backends:
+        raise ConfigError(
+            f"{what} runs on {', '.join(backends)}, not backend {backend!r}"
+        )
+    return backend
+
+
 def check_shape(name: str, shape: Sequence[int]) -> tuple[int, ...]:
     """Validate and normalize a tensor shape.
 

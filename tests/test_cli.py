@@ -8,7 +8,13 @@ import sys
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
-from repro.core import Experiment, run_full_study, study_entries
+from repro.core import (
+    Experiment,
+    run_energy_study,
+    run_full_study,
+    run_op_mapping,
+    study_entries,
+)
 from repro.hw.backend import backend_names
 from repro.synapse import CompilerOptions, GraphCompiler
 from repro.util.errors import ConfigError
@@ -127,6 +133,15 @@ class TestMain:
         default = capsys.readouterr().out
         assert main(["--backend", "wse", experiment]) == 0
         assert capsys.readouterr().out != default
+
+    def test_reorder_ablation_reports_the_matmul_engine(self, capsys):
+        """A1's idle column is the backend's matmul engine: the wafer's
+        PE grid, not a Gaudi MME it does not have."""
+        assert main(["--backend", "wse", "ablation-reorder"]) == 0
+        out = capsys.readouterr().out
+        assert "| PE idle" in out and "MME" not in out
+        assert main(["ablation-reorder"]) == 0
+        assert "| MME idle" in capsys.readouterr().out
 
     def test_infeasible_layout_grid_is_a_typed_error(self, capsys):
         """A16 with no layout fitting the budget: one error line, exit 2."""
@@ -264,6 +279,21 @@ class TestExperimentTable:
             run_full_study(CompilerOptions(backend="wse"))
         with pytest.raises(ConfigError, match="energy runs on gaudi, not"):
             EXPERIMENTS["energy"](CompilerOptions(backend="wse"))
+
+    @pytest.mark.parametrize("runner, what", [
+        (run_energy_study, "the energy study"),
+        (run_op_mapping, "the Table 1 op mapping"),
+    ])
+    def test_direct_call_refuses_an_unlisted_backend(
+        self, monkeypatch, runner, what
+    ):
+        """Called without its record, a Gaudi-calibrated runner makes
+        the same check before any compile."""
+        monkeypatch.setattr(GraphCompiler, "compile", None)
+        with pytest.raises(
+            ConfigError, match=f"{what} runs on gaudi, not backend 'wse'"
+        ):
+            runner(CompilerOptions(backend="wse"))
 
     def test_records_name_known_flags_and_backends(self):
         with pytest.raises(ConfigError, match="unknown global flag"):

@@ -19,6 +19,7 @@ checked on a warm run.
 """
 
 import gc
+import weakref
 
 import pytest
 
@@ -115,6 +116,58 @@ class TestContract:
         with ht.record("paused", mode="symbolic"):
             assert not gc.isenabled()
         assert gc.isenabled()
+
+    def test_region_exit_starts_no_collection(self):
+        """What a region leaves alive moves to the oldest generation
+        unwalked, so allocating on after it starts no young collection
+        even at a threshold of 50."""
+        starts = []
+
+        def on_gc(phase, info):
+            """Count collection starts."""
+            if phase == "start":
+                starts.append(info["generation"])
+
+        threshold = gc.get_threshold()
+        gc.collect()  # start from an empty young generation
+        gc.callbacks.append(on_gc)
+        gc.set_threshold(50, 10, 10)
+        try:
+            with gc_paused():
+                kept = [[i] for i in range(1000)]
+            more = [[i] for i in range(20)]
+        finally:
+            gc.set_threshold(*threshold)
+            gc.callbacks.remove(on_gc)
+        assert starts == []
+        assert len(kept) + len(more) == 1020
+
+    def test_survivors_move_to_the_oldest_generation(self):
+        with gc_paused():
+            kept = [0]
+        assert any(obj is kept for obj in gc.get_objects(generation=2))
+
+    def test_a_cycle_made_inside_a_record_is_freed_by_a_full_collection(self):
+        class Cyclic:
+            """An object that refers to itself."""
+
+        with ht.record("cycle", mode="symbolic"):
+            obj = Cyclic()
+            obj.me = obj
+            ref = weakref.ref(obj)
+            del obj
+        gc.collect()
+        assert ref() is None
+
+    def test_leaves_a_caller_frozen_heap_frozen(self):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            with gc_paused():
+                pass
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
 
     def test_execute_runs_no_collection_inside_its_region(self):
         """At a threshold that would collect every few allocations, an

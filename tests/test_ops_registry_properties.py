@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hw.costmodel import EngineKind, OpClass
 from repro.hw.dtypes import DType
-from repro.synapse.ops import op, op_names, work_item_for
+from repro.synapse.ops import _broadcast, op, op_names, work_item_for
+from repro.util.errors import ShapeError
 
 # ops needing special argument handling in the generic harness
 UNARY_SIMPLE = [
@@ -102,6 +103,51 @@ class TestShapeComputeAgreement:
             assert tuple(out.shape) == opdef.infer_shape([shape], {"axis": -1})
             if name == "softmax":
                 np.testing.assert_allclose(out.sum(-1), 1.0, rtol=1e-5)
+
+
+#: rank-0..5 shapes over few distinct dims, so pairs often line up
+broadcast_shapes = st.lists(
+    st.sampled_from((0, 1, 2, 3, 7)), max_size=5
+).map(tuple)
+
+
+def numpy_broadcast(a, b):
+    """``np.broadcast_shapes(a, b)`` as a tuple, or None if it raises."""
+    try:
+        return tuple(np.broadcast_shapes(a, b))
+    except ValueError:
+        return None
+
+
+class TestBroadcast:
+    """The binary ops' pure-Python broadcast is numpy's, error included."""
+
+    def check(self, a, b):
+        expected = numpy_broadcast(a, b)
+        if expected is None:
+            with pytest.raises(ShapeError, match="not broadcastable"):
+                _broadcast(a, b)
+        else:
+            assert _broadcast(a, b) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=broadcast_shapes, b=broadcast_shapes)
+    def test_matches_numpy(self, a, b):
+        self.check(a, b)
+        self.check(b, a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=broadcast_shapes, data=st.data())
+    def test_matches_numpy_on_broadcastable_pairs(self, a, data):
+        """``b`` is ``a`` with a leading prefix dropped and some dims
+        set to 1, so numpy always succeeds."""
+        drop = data.draw(st.integers(0, len(a)))
+        ones = data.draw(st.lists(st.booleans(), min_size=len(a) - drop,
+                                  max_size=len(a) - drop))
+        b = tuple(1 if one else d for d, one in zip(a[drop:], ones))
+        assert numpy_broadcast(a, b) is not None
+        self.check(a, b)
+        self.check(b, a)
 
 
 class TestRegistryInvariants:

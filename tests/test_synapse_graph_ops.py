@@ -5,7 +5,17 @@ import pytest
 
 from repro.hw.costmodel import EngineKind, OpClass
 from repro.hw.dtypes import DType
-from repro.synapse import Graph, engine_for, matmul_spec, op, op_names, work_item_for
+from repro.synapse import (
+    Graph,
+    GraphCompiler,
+    engine_for,
+    matmul_spec,
+    op,
+    op_names,
+    work_item_for,
+)
+from repro.synapse.passes import pass_cache_stats, reset_pass_cache
+from repro.synapse.recipe import RecipeCache
 from repro.util.errors import GraphError, ShapeError
 
 
@@ -35,16 +45,64 @@ class TestGraphConstruction:
         v = g.add_value((), DType.FP32)
         assert v.numel == 1 and v.nbytes == 4
 
+    # Construction only appends; each check below fires where a built
+    # graph is checked: Graph.validate and the compiler's validate pass.
+
+    @staticmethod
+    def assert_rejected(g, error, match):
+        with pytest.raises(error, match=match):
+            g.validate()
+        with pytest.raises(error, match=match):
+            GraphCompiler(cache=RecipeCache()).compile(g)
+
+    def make_relu(self, shape):
+        g = Graph("t")
+        x = g.add_value(shape, DType.BF16, name="x", kind="input")
+        y = g.add_value(shape, DType.BF16, name="y")
+        g.add_node("relu", [x.vid], y)
+        return g
+
     def test_unknown_input_rejected(self):
         g = Graph()
         out = g.add_value((2,), DType.BF16)
-        with pytest.raises(GraphError, match="unknown value"):
-            g.add_node("relu", [999], out)
+        g.add_node("relu", [999], out)
+        self.assert_rejected(g, GraphError, "consumes unknown value 999")
 
     def test_double_producer_rejected(self):
         g, x, y = self.make_graph()
-        with pytest.raises(GraphError, match="producer"):
-            g.add_node("relu", [x.vid], y)
+        g.add_node("relu", [x.vid], y)
+        self.assert_rejected(g, GraphError, "already has a producer")
+
+    def test_unregistered_output_rejected(self):
+        g, x, _ = self.make_graph()
+        stray = Graph().add_value((2, 3), DType.BF16)
+        stray.vid = 99
+        g.add_node("relu", [x.vid], stray)
+        self.assert_rejected(g, GraphError, "produces unregistered value 99")
+
+    def test_rank_above_five_rejected(self):
+        g = self.make_relu((1,) * 6)
+        self.assert_rejected(g, ShapeError, "x: rank 6 exceeds")
+
+    def test_negative_dimension_rejected(self):
+        g = self.make_relu((2, -3))
+        self.assert_rejected(g, ShapeError, "x: dimensions must be non-negative")
+
+    def test_bool_dimension_rejected(self):
+        g = self.make_relu((2, 3))
+        g.add_value((True, 3), DType.BF16, name="flag")
+        self.assert_rejected(g, ShapeError, "flag: dimensions must be")
+
+    def test_shape_check_survives_a_structural_replay(self):
+        """The validate pass replays SSA and order for a graph whose
+        structure it has seen; the shapes are still checked."""
+        reset_pass_cache()
+        GraphCompiler(cache=RecipeCache()).compile(self.make_relu((2, 3)))
+        hits = pass_cache_stats()["hits"]
+        bad = self.make_relu((-2, 3))
+        with pytest.raises(ShapeError, match="non-negative"):
+            GraphCompiler(cache=RecipeCache()).compile(bad)
+        assert pass_cache_stats()["hits"] == hits + 1  # validate replayed
 
     def test_bad_kind_rejected(self):
         with pytest.raises(GraphError, match="kind"):
